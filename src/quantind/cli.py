@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import induction, oscillator, transfer, twisted
+from .induction import _fmt_vec
 from .lpn import lpn as _lpn, lpn_oracle as _lpn_oracle
 from .vectors import (
     DomainError,
@@ -70,10 +70,6 @@ def _parse_group(text: str):
         except ValueError as exc:
             raise DomainError(f"bad group spec {text!r}") from exc
     raise DomainError("group must be O:p,q or Sp:n")
-
-
-def _fmt_vec(entries) -> str:
-    return "(" + ",".join(str(Fraction(e)) for e in entries) + ")"
 
 
 def _fmt_float(x: float) -> str:

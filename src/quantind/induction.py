@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import transfer
 from .vectors import (
@@ -25,8 +25,7 @@ from .vectors import (
     Orthogonal,
     Partition,
     Symplectic,
-    constant_vector,
-    rho,
+    rho_shift,
     strictly_dominated,
     transpose,
     weakly_dominated,
@@ -84,39 +83,27 @@ class DualPairChain:
 
 def in_semistable_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     """lambda - n*1 + 2 rho(O(p,q)) < 0 (convergence of the averaging integral)."""
-    g = Orthogonal(p, q)
-    if len(lam) != p:
-        raise DomainError(f"lambda must have length p={p}")
-    return strictly_dominated(lam - constant_vector(n, p) + rho(g) + rho(g))
+    return strictly_dominated(rho_shift(lam, Orthogonal(p, q), n, 2))
 
 
 def in_semistable_Sp_to_O(lam: ExponentVector, n: int, p: int, q: int) -> bool:
     """lambda - ((p+q)/2)*1 + 2 rho(Sp(2n)) < 0."""
     g = Symplectic(n)
     Orthogonal(p, q)
-    if len(lam) != n:
-        raise DomainError(f"lambda must have length n={n}")
-    shifted = lam - constant_vector(Fraction(p + q, 2), n) + rho(g) + rho(g)
-    return strictly_dominated(shifted)
+    return strictly_dominated(rho_shift(lam, g, Fraction(p + q, 2), 2))
 
 
 def in_ss_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     """lambda - (n - (p+q)/2)*1 + rho(O(p,q)) <= 0 (positivity region)."""
     g = Orthogonal(p, q)
-    if len(lam) != p:
-        raise DomainError(f"lambda must have length p={p}")
-    c = Fraction(2 * n - (p + q), 2)
-    return weakly_dominated(lam - constant_vector(c, p) + rho(g))
+    return weakly_dominated(rho_shift(lam, g, Fraction(2 * n - (p + q), 2), 1))
 
 
 def in_ss_Sp_to_O(lam: ExponentVector, n: int, p: int, q: int) -> bool:
     """lambda - ((p+q)/2 - n - 1)*1 + rho(Sp(2n)) <= 0."""
     g = Symplectic(n)
     Orthogonal(p, q)
-    if len(lam) != n:
-        raise DomainError(f"lambda must have length n={n}")
-    c = Fraction(p + q, 2) - n - 1
-    return weakly_dominated(lam - constant_vector(c, n) + rho(g))
+    return weakly_dominated(rho_shift(lam, g, Fraction(p + q, 2) - n - 1, 1))
 
 
 def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
@@ -126,10 +113,8 @@ def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
         raise DomainError("p+q must be odd")
     if p + q > 2 * n + 1:
         raise DomainError("requires p+q <= 2n+1")
-    if len(lam) != p:
-        raise DomainError(f"lambda must have length p={p}")
     c = Fraction(2 * n - (p + q - 1), 2)
-    return weakly_dominated(lam - constant_vector(c, p) + rho(g))
+    return weakly_dominated(rho_shift(lam, g, c, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,177 +179,111 @@ def validate_chain(chain: DualPairChain) -> ValidationReport:
     still reported.
     """
     rep = ValidationReport()
-    groups = chain.groups
-    if chain.start_kind == "O":
-        _chain_initial_O(chain, rep)
-    else:
-        _chain_initial_Sp(chain, rep)
+    _chain_initial(chain, rep)
     _chain_inductive(chain, rep)
     _propagate_bounds(chain, rep)
     return rep
 
 
-def _chain_initial_O(chain: DualPairChain, rep: ValidationReport) -> None:
-    o1 = chain.groups[0]
-    s1 = chain.groups[1]
-    p1, q1, n1 = o1.p, o1.q, s1.n
-    rep.add(
-        "initial-size",
-        "p1 + q1 <= 2 n1 + 1",
-        f"{p1 + q1}",
-        f"{2 * n1 + 1}",
-        p1 + q1 <= 2 * n1 + 1,
-    )
-    ok = in_ss_O_to_Sp(chain.initial_lambda, p1, q1, n1)
-    rep.add(
-        "initial-ss",
-        "lambda - (n1 - (p1+q1)/2)*1 + rho(O(p1,q1)) <= 0",
-        _fmt_vec(chain.initial_lambda),
-        "0",
-        ok,
-    )
-
-
-def _chain_initial_Sp(chain: DualPairChain, rep: ValidationReport) -> None:
-    s1 = chain.groups[0]
-    o1 = chain.groups[1]
-    n1, p1, q1 = s1.n, o1.p, o1.q
-    rep.add(
-        "initial-size", "n1 < p1 <= q1", f"{n1}", f"({p1},{q1})", n1 < p1 <= q1
-    )
-    ok = in_ss_Sp_to_O(chain.initial_lambda, n1, p1, q1)
-    rep.add(
-        "initial-ss",
-        "lambda - ((p1+q1)/2 - n1 - 1)*1 + rho(Sp(2n1)) <= 0",
-        _fmt_vec(chain.initial_lambda),
-        "0",
-        ok,
-    )
+def _chain_initial(chain: DualPairChain, rep: ValidationReport) -> None:
+    lam = chain.initial_lambda
+    if chain.start_kind == "O":
+        o1, s1 = chain.groups[:2]
+        p1, q1, n1 = o1.p, o1.q, s1.n
+        rep.add(
+            "initial-size",
+            "p1 + q1 <= 2 n1 + 1",
+            f"{p1 + q1}",
+            f"{2 * n1 + 1}",
+            p1 + q1 <= 2 * n1 + 1,
+        )
+        ineq = "lambda - (n1 - (p1+q1)/2)*1 + rho(O(p1,q1)) <= 0"
+        ok = in_ss_O_to_Sp(lam, p1, q1, n1)
+    else:
+        s1, o1 = chain.groups[:2]
+        n1, p1, q1 = s1.n, o1.p, o1.q
+        rep.add(
+            "initial-size", "n1 < p1 <= q1", f"{n1}", f"({p1},{q1})", n1 < p1 <= q1
+        )
+        ineq = "lambda - ((p1+q1)/2 - n1 - 1)*1 + rho(Sp(2n1)) <= 0"
+        ok = in_ss_Sp_to_O(lam, n1, p1, q1)
+    rep.add("initial-ss", ineq, _fmt_vec(lam), "0", ok)
 
 
 def _chain_inductive(chain: DualPairChain, rep: ValidationReport) -> None:
-    orths = [g for g in chain.groups if isinstance(g, Orthogonal)]
-    symps = [g for g in chain.groups if isinstance(g, Symplectic)]
-    for j in range(len(orths) - 1):
-        a, b = orths[j], orths[j + 1]
+    """Parity of consecutive O's, then the size conditions window by window.
+
+    size[j].1 checks each (Sp, O) pair, size[j].2 each (Sp, O, Sp) window and
+    size[j].3 each (O, Sp, O) window.  The group at position i carries the
+    subscript i//2 + 1 in both flavours, so the O after Sp_j is O_{j+1} in
+    O-first chains and O_j in Sp-first ones; j is the subscript of the
+    window's first group.  Records are reported by (j, end position, suffix).
+    """
+    groups = chain.groups
+    orths = [g for g in groups if isinstance(g, Orthogonal)]
+    for j, (a, b) in enumerate(zip(orths, orths[1:]), 1):
         rep.add(
-            f"parity[{j + 1}]",
+            f"parity[{j}]",
             "p_j + q_j = p_{j+1} + q_{j+1} (mod 2)",
             f"{(a.p + a.q) % 2}",
             f"{(b.p + b.q) % 2}",
             (a.p + a.q) % 2 == (b.p + b.q) % 2,
         )
-    if chain.start_kind == "O":
-        # O(p1,q1), Sp(2n1), O(p2,q2), Sp(2n2), ...
-        for j in range(len(symps)):
-            nj = symps[j].n
-            if j + 1 < len(orths):
-                o_next = orths[j + 1]
-                rep.add(
-                    f"size[{j + 1}].1",
-                    "n_j < p_{j+1} <= q_{j+1}",
-                    f"{nj}",
-                    f"({o_next.p},{o_next.q})",
-                    nj < o_next.p <= o_next.q,
-                )
-                o_prev = orths[j]
-                rep.add(
-                    f"size[{j + 1}].3",
-                    "2 n_j - p_j - q_j + 2 <= p_{j+1} + q_{j+1} - 2 n_j",
-                    f"{2 * nj - o_prev.p - o_prev.q + 2}",
-                    f"{o_next.p + o_next.q - 2 * nj}",
-                    2 * nj - o_prev.p - o_prev.q + 2
-                    <= o_next.p + o_next.q - 2 * nj,
-                )
-                if j + 1 < len(symps):
-                    n_next = symps[j + 1].n
-                    rep.add(
-                        f"size[{j + 1}].2",
-                        "p_{j+1} + q_{j+1} - 2 n_j <= 2 n_{j+1} - p_{j+1} - q_{j+1} + 2",
-                        f"{o_next.p + o_next.q - 2 * nj}",
-                        f"{2 * n_next - o_next.p - o_next.q + 2}",
-                        o_next.p + o_next.q - 2 * nj
-                        <= 2 * n_next - o_next.p - o_next.q + 2,
-                    )
-    else:
-        # Sp(2n1), O(p1,q1), Sp(2n2), O(p2,q2), ...
-        for j in range(len(orths)):
-            oj = orths[j]
-            nj = symps[j].n
-            rep.add(
-                f"size[{j + 1}].1",
-                "n_j < p_j <= q_j",
-                f"{nj}",
-                f"({oj.p},{oj.q})",
-                nj < oj.p <= oj.q,
-            )
-            if j + 1 < len(symps):
-                n_next = symps[j + 1].n
-                rep.add(
-                    f"size[{j + 1}].2",
-                    "p_j + q_j - 2 n_j <= 2 n_{j+1} - p_j - q_j + 2",
-                    f"{oj.p + oj.q - 2 * nj}",
-                    f"{2 * n_next - oj.p - oj.q + 2}",
-                    oj.p + oj.q - 2 * nj <= 2 * n_next - oj.p - oj.q + 2,
-                )
-                if j + 1 < len(orths):
-                    o_next = orths[j + 1]
-                    rep.add(
-                        f"size[{j + 1}].3",
-                        "2 n_{j+1} - p_j - q_j + 2 <= p_{j+1} + q_{j+1} - 2 n_{j+1}",
-                        f"{2 * n_next - oj.p - oj.q + 2}",
-                        f"{o_next.p + o_next.q - 2 * n_next}",
-                        2 * n_next - oj.p - oj.q + 2
-                        <= o_next.p + o_next.q - 2 * n_next,
-                    )
+
+    def sub(i: int, j: int) -> str:
+        return "j" if i // 2 + 1 == j else "{j+1}"
+
+    records = []
+    for end in range(1, len(groups)):
+        s, o = groups[end - 1], groups[end]
+        if isinstance(s, Symplectic):
+            j = (end - 1) // 2 + 1
+            x = sub(end, j)
+            ok = s.n < o.p <= o.q
+            ineq = f"n_j < p_{x} <= q_{x}"
+            records.append(((j, end, 1), ineq, f"{s.n}", f"({o.p},{o.q})", ok))
+        if end < 2:
+            continue
+        a, b, c = groups[end - 2 : end + 1]
+        j = (end - 2) // 2 + 1
+        x = sub(end - 1, j)
+        if isinstance(a, Symplectic):
+            suffix, lhs, rhs = 2, b.p + b.q - 2 * a.n, 2 * c.n - b.p - b.q + 2
+            ineq = f"p_{x} + q_{x} - 2 n_j <= 2 n_{{j+1}} - p_{x} - q_{x} + 2"
+        else:
+            suffix, lhs, rhs = 3, 2 * b.n - a.p - a.q + 2, c.p + c.q - 2 * b.n
+            ineq = f"2 n_{x} - p_j - q_j + 2 <= p_{{j+1}} + q_{{j+1}} - 2 n_{x}"
+        records.append(((j, end, suffix), ineq, f"{lhs}", f"{rhs}", lhs <= rhs))
+    for (j, _, suffix), ineq, lhs, rhs, ok in sorted(records, key=lambda r: r[0]):
+        rep.add(f"size[{j}].{suffix}", ineq, lhs, rhs, ok)
 
 
 def _propagate_bounds(chain: DualPairChain, rep: ValidationReport) -> None:
+    groups = chain.groups
     lam = chain.initial_lambda
     rep.bounds.append(lam)
-    for src, dst in zip(chain.groups, chain.groups[1:]):
-        step = len(rep.bounds)
+    for k, (src, dst) in enumerate(zip(groups, groups[1:])):
+        # the target's successor, taken by position: groups may repeat
+        nxt = groups[k + 2] if k + 2 < len(groups) else None
         try:
             if isinstance(src, Orthogonal):
-                assert isinstance(dst, Symplectic)
                 new = transfer.bound_O_to_Sp(src.p, src.q, dst.n, lam)
-                nxt = _next_orth(chain, dst)
-                ss_ok = in_ss_Sp_to_O(new, dst.n, *nxt) if nxt else True
+                ss_ok = in_ss_Sp_to_O(new, dst.n, nxt.p, nxt.q) if nxt else True
             else:
-                assert isinstance(dst, Orthogonal)
                 new = transfer.bound_Sp_to_O(src.n, dst.p, dst.q, lam)
-                nxt = _next_symp(chain, dst)
-                ss_ok = in_ss_O_to_Sp(new, dst.p, dst.q, nxt) if nxt else True
+                ss_ok = in_ss_O_to_Sp(new, dst.p, dst.q, nxt.n) if nxt else True
         except DomainError as exc:
-            rep.add(f"propagate[{step}]", "transfer precondition", str(exc), "", False)
+            rep.add(f"propagate[{k + 1}]", "transfer precondition", str(exc), "", False)
             return
         rep.bounds.append(new)
         rep.add(
-            f"propagate[{step}]",
+            f"propagate[{k + 1}]",
             "propagated bound admissible for next step",
             _fmt_vec(new),
             "",
             ss_ok,
         )
         lam = new
-
-
-def _next_orth(
-    chain: DualPairChain, after: GroupDescriptor
-) -> Optional[tuple[int, int]]:
-    idx = chain.groups.index(after)
-    for g in chain.groups[idx + 1 :]:
-        if isinstance(g, Orthogonal):
-            return g.p, g.q
-    return None
-
-
-def _next_symp(chain: DualPairChain, after: GroupDescriptor) -> Optional[int]:
-    idx = chain.groups.index(after)
-    for g in chain.groups[idx + 1 :]:
-        if isinstance(g, Symplectic):
-            return g.n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -521,5 +440,5 @@ def predict_associated_variety(
     return AVPrediction(partition=transpose(ft))
 
 
-def _fmt_vec(v: ExponentVector) -> str:
-    return "(" + ",".join(str(e) for e in v) + ")"
+def _fmt_vec(entries) -> str:
+    return "(" + ",".join(str(Fraction(e)) for e in entries) + ")"

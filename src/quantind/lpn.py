@@ -7,15 +7,16 @@ returns -mu.  All arithmetic is exact rational.
 
 `lpn_oracle` re-derives the result by enumerating the feasible constraint
 structures (equality vs. saturated block at each breakpoint) and taking the
-lexicographic maximum of the row sums; it shares no state with the greedy
-path and is the validation oracle for small instances.
+lexicographic maximum of the row sums; it shares the row fill
+`_lex_max_rows` with the greedy path but not the choice of block totals, and
+is the validation oracle for small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .vectors import DomainError, ExponentVector, strictly_dominated
 
@@ -33,15 +34,32 @@ class BreakpointSequence:
 
 @dataclass(frozen=True)
 class EtaAssignment:
-    """An n x p weight matrix witnessing an L(p,n) value."""
+    """The greedy block totals and row sums witnessing an L(p,n) value."""
 
-    eta: tuple[tuple[Fraction, ...], ...]
+    mu: tuple[Fraction, ...]
+    totals: tuple[Fraction, ...]  # per block between consecutive breakpoints
     block_structure: BreakpointSequence
     cases: tuple[str, ...]  # "ar2" (cumulative equality) or "ar3" (all ones)
 
     @property
-    def mu(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.eta)
+    def eta(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The n x p weight matrix, built from the block totals on each read.
+
+        Each block total is spread over rows 1, 2, ... in order, each row
+        taking min(w, rest), columns filled left to right.
+        """
+        indices = self.block_structure.indices
+        eta = [[Fraction(0)] * indices[-1] for _ in self.mu]
+        for prev, j, rest in zip((0,) + indices[:-1], indices, self.totals):
+            for row in eta:
+                if rest == 0:
+                    break
+                left = min(Fraction(j - prev), rest)
+                rest -= left
+                for i in range(prev, j):
+                    row[i] = min(Fraction(1), left)
+                    left -= row[i]
+        return tuple(tuple(row) for row in eta)
 
 
 @dataclass(frozen=True)
@@ -76,49 +94,29 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
 def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
     """Row-major water filling of the blocks between consecutive breakpoints.
 
-    Within a block (j_{s-1}, j_s] of width w, the remaining cumulative budget
-    R is spread over rows 1, 2, ... in order, each row taking min(w, rest),
-    columns filled left to right.  If the whole block at weight one sits
-    strictly under budget (n*w < R) the block is saturated instead and the
-    slack carries into later blocks.
+    A block (j_{s-1}, j_s] of width w takes the remaining cumulative budget
+    R as its total.  If the whole block at weight one sits strictly under
+    budget (n*w < R) the block is saturated with total n*w instead and the
+    slack carries into later blocks.  Filling each total into rows 1, 2, ...
+    in order gives the row sums `_lex_max_rows`; eta itself is built only
+    when read.
     """
     p = _check_dims(lam, p)
     if n < 1:
         raise DomainError("n must be >= 1")
     bps = breakpoints(lam, p)
-    eta = [[Fraction(0)] * p for _ in range(n)]
+    widths = _widths(bps)
+    totals: list[Fraction] = []
     cases: list[str] = []
     assigned = Fraction(0)
-    prev = 0
-    for j, budget in zip(bps.indices, bps.budgets):
-        w = j - prev
+    for w, budget in zip(widths, bps.budgets):
         remaining = budget - assigned
-        if n * w < remaining:
-            for k in range(n):
-                for i in range(prev, j):
-                    eta[k][i] = Fraction(1)
-            assigned += n * w
-            cases.append("ar3")
-        else:
-            rest = remaining
-            for k in range(n):
-                if rest == 0:
-                    break
-                take = min(Fraction(w), rest)
-                left = take
-                for i in range(prev, j):
-                    cell = min(Fraction(1), left)
-                    eta[k][i] = cell
-                    left -= cell
-                    if left == 0:
-                        break
-                rest -= take
-            assigned = budget
-            cases.append("ar2")
-        prev = j
-    return EtaAssignment(
-        tuple(tuple(row) for row in eta), bps, tuple(cases)
-    )
+        saturated = n * w < remaining
+        totals.append(Fraction(n * w) if saturated else remaining)
+        cases.append("ar3" if saturated else "ar2")
+        assigned += totals[-1]
+    mu = _lex_max_rows(totals, widths, n)
+    return EtaAssignment(mu, tuple(totals), bps, tuple(cases))
 
 
 def lpn(lam: ExponentVector, p: int | None, n: int) -> LpnResult:
@@ -131,9 +129,9 @@ def lpn(lam: ExponentVector, p: int | None, n: int) -> LpnResult:
 def check_assignment(lam: ExponentVector, assignment: EtaAssignment) -> bool:
     """Re-verify the witness invariants independently of how it was built.
 
-    Checks 0 <= eta <= 1, non-increasing row sums, and that each breakpoint
-    carries either the cumulative equality or a fully saturated block with
-    strict inequality.
+    Checks 0 <= eta <= 1, that mu holds the row sums of eta and does not
+    increase, and that each breakpoint carries either the cumulative equality
+    or a fully saturated block with strict inequality.
     """
     eta = assignment.eta
     p = len(lam)
@@ -142,6 +140,8 @@ def check_assignment(lam: ExponentVector, assignment: EtaAssignment) -> bool:
     if any(not (0 <= cell <= 1) for row in eta for cell in row):
         return False
     mu = assignment.mu
+    if mu != tuple(sum(row, Fraction(0)) for row in eta):
+        return False
     if any(mu[k] < mu[k + 1] for k in range(len(mu) - 1)):
         return False
     caps = [-s for s in lam.prefix_sums()]
@@ -180,9 +180,7 @@ def lpn_oracle(
         raise DomainError(f"oracle limited to {max_cells} cells, got {p * n}")
     bps = breakpoints(lam, p)
     m = len(bps.indices)
-    widths = [
-        j - prev for prev, j in zip((0,) + bps.indices[:-1], bps.indices)
-    ]
+    widths = _widths(bps)
     best: tuple[Fraction, ...] | None = None
     for combo in product(("eq", "sat"), repeat=m):
         totals: list[Fraction] = []
@@ -216,19 +214,24 @@ def _lex_max_rows(
 ) -> tuple[Fraction, ...]:
     """Largest (mu_1, ..., mu_n) in lexicographic order given per-block totals.
 
-    Row k takes min(width, what is left) from every block; cells are capped
-    at one, so a row can take at most the block width.
+    Cells are capped at one, so a row takes at most the block width: a block
+    of width w and total t <= n*w gives w to each of its first floor(t/w)
+    rows and the remainder to the next row.  The blocks are summed through a
+    difference array, in O(n + m) rather than cell by cell.
     """
-    rest = list(totals)
-    mu = []
-    for _ in range(n):
-        row = Fraction(0)
-        for s, w in enumerate(widths):
-            take = min(Fraction(w), rest[s])
-            rest[s] -= take
-            row += take
-        mu.append(row)
-    return tuple(mu)
+    diff = [Fraction(0)] * (n + 1)
+    for t, w in zip(totals, widths):
+        full, part = divmod(t, w)
+        diff[0] += w
+        diff[full] -= w
+        if part:  # t < n*w here, so row full + 1 exists in diff
+            diff[full] += part
+            diff[full + 1] -= part
+    return tuple(accumulate(diff[:n]))
+
+
+def _widths(bps: BreakpointSequence) -> list[int]:
+    return [j - prev for prev, j in zip((0,) + bps.indices[:-1], bps.indices)]
 
 
 def _check_dims(lam: ExponentVector, p: int | None) -> int:

@@ -17,7 +17,7 @@ from .vectors import (
     Orthogonal,
     Symplectic,
     constant_vector,
-    rho,
+    rho_shift,
     strictly_dominated,
 )
 
@@ -31,9 +31,7 @@ def bound_O_to_Sp(p: int, q: int, n: int, lam: ExponentVector) -> ExponentVector
     g = Orthogonal(p, q)
     if p < 1:
         raise DomainError("need p >= 1")
-    if len(lam) != p:
-        raise DomainError(f"lambda must have length p={p}")
-    shifted = lam + rho(g) + rho(g) - constant_vector(n, p)
+    shifted = rho_shift(lam, g, n, 2)
     if not strictly_dominated(shifted):
         raise DomainError("not in semistable range for this transfer")
     out = lpn(shifted, p, n).output
@@ -51,9 +49,7 @@ def bound_Sp_to_O(n: int, p: int, q: int, lam: ExponentVector) -> ExponentVector
     Orthogonal(p, q)
     if p < 1:
         raise DomainError("need p >= 1")
-    if len(lam) != n:
-        raise DomainError(f"lambda must have length n={n}")
-    shifted = lam + rho(g) + rho(g) - constant_vector(Fraction(p + q, 2), n)
+    shifted = rho_shift(lam, g, Fraction(p + q, 2), 2)
     if not strictly_dominated(shifted):
         raise DomainError("not in semistable range for this transfer")
     return lpn(shifted, n, p).output

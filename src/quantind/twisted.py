@@ -153,8 +153,7 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     )
     T = max(T, 10.0)
     while True:
-        value, quad_err, nodes = _integrate_box(integrand, p, T)
-        counter[0] += 0
+        value, quad_err = _integrate_box(integrand, p, T)
         tail = _tail_bound(margins, T)
         if value > 0.0 and tail > TAIL_FRACTION * value:
             T *= 1.5
@@ -167,14 +166,12 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
         )
 
 
-def _integrate_box(integrand, p: int, T: float) -> tuple[float, float, int]:
+def _integrate_box(integrand, p: int, T: float) -> tuple[float, float]:
     if p <= 3:
         opts = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
         if p == 1:
-            v, e = quad(integrand, 0.0, T, **opts)
-            return v, e, 0
-        v, e = nquad(integrand, [(0.0, T)] * p, opts=opts)
-        return v, e, 0
+            return quad(integrand, 0.0, T, **opts)
+        return nquad(integrand, [(0.0, T)] * p, opts=opts)
     # importance-sampled Monte Carlo, density prod c * exp(-c t_i) on [0,T]^p
     rng = np.random.default_rng(MC_SEED)
     c = 1.0
@@ -189,7 +186,7 @@ def _integrate_box(integrand, p: int, T: float) -> tuple[float, float, int]:
     # pairwise (numpy) summation keeps repeated runs bit-identical
     est = float(np.sum(contrib) / MC_SAMPLES)
     err = float(np.std(contrib) / math.sqrt(MC_SAMPLES)) * 3.0
-    return est, err, MC_SAMPLES
+    return est, err
 
 
 def fit_decay(

@@ -170,6 +170,20 @@ def rho(g: GroupDescriptor) -> ExponentVector:
     return ExponentVector(range(g.n, 0, -1))
 
 
+def rho_shift(
+    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int
+) -> ExponentVector:
+    """lam - c*1 + k*rho(g), the vector every range test compares with 0.
+
+    lam must have the length of rank(g): p for O(p,q), n for Sp(2n).
+    """
+    if len(lam) != g.rank:
+        name = "p" if isinstance(g, Orthogonal) else "n"
+        raise DomainError(f"lambda must have length {name}={g.rank}")
+    c = as_fraction(c)
+    return ExponentVector(x - c + k * r for x, r in zip(lam, rho(g)))
+
+
 @dataclass(frozen=True)
 class CoverInfo:
     """Double-cover metadata of one member of an orthogonal-symplectic pair."""

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from quantind import induction
 from quantind import (
     DomainError,
     DualPairChain,
@@ -163,6 +164,33 @@ def test_validate_chain_sp_first_initial_failure():
     )
     rep = validate_chain(chain)
     assert not next(s for s in rep.steps if s.id == "initial-size").ok
+
+
+def test_chain_repeated_group_successor_by_position():
+    # the final O(1,2) has no successor; a lookup by value resolves it to
+    # position 0 and checks the bound against the Sp(2) that follows there
+    chain = DualPairChain(
+        "O", (Orthogonal(1, 2), Symplectic(1), Orthogonal(1, 2)), ev(F(-1, 2))
+    )
+    rep = validate_chain(chain)
+    assert next(s for s in rep.steps if s.id == "propagate[2]").ok
+
+
+def test_chain_repeated_group_last_step_has_no_successor(monkeypatch):
+    # real bounds stop this chain at step 2, so the transfers are stubbed
+    # with the zero bound, which O(1,1) after Sp(6) does not admit
+    monkeypatch.setattr(
+        induction.transfer, "bound_O_to_Sp", lambda p, q, n, lam: ev(*[0] * n)
+    )
+    monkeypatch.setattr(
+        induction.transfer, "bound_Sp_to_O", lambda n, p, q, lam: ev(*[0] * p)
+    )
+    groups = (Orthogonal(1, 1), Symplectic(3)) * 2
+    rep = validate_chain(DualPairChain("O", groups, ev(-1)))
+    ok = {s.id: s.ok for s in rep.steps if s.id.startswith("propagate")}
+    assert len(rep.bounds) == 4
+    assert not ok["propagate[1]"]
+    assert ok["propagate[3]"]
 
 
 def test_chain_construction_validation():

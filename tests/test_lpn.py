@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -185,6 +186,10 @@ def test_output_weakly_dominated(lam, n):
 def test_witness_revalidates(lam, n):
     result = lpn(lam, len(lam), n)
     assert check_assignment(lam, result.witness)
+    # mu is stored next to the block totals, so it must agree with eta
+    mu = result.witness.mu
+    tampered = replace(result.witness, mu=(mu[0] + 1,) + mu[1:])
+    assert not check_assignment(lam, tampered)
 
 
 def test_lpn_rejects_bad_input():
