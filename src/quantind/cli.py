@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / positive verdict, 1 well-formed input with a
-negative verdict, 2 malformed input or violated precondition.  Exact
-quantities (exponent vectors, bounds, infinitesimal characters) are
-printed as rational strings in lowest terms; quadrature output carries an
-explicit error estimate and uses 12 significant digits.
+negative verdict, 2 malformed input, violated precondition or numerical
+overflow.  Exact quantities (exponent vectors, bounds, infinitesimal
+characters) are printed as rational strings in lowest terms; quadrature
+output carries an explicit error estimate and uses 12 significant digits.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import json
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from . import induction, oscillator, transfer, twisted
 from .induction import _fmt_vec
@@ -265,6 +263,7 @@ def _cmd_verify_integral(args) -> int:
         raise DomainError(
             "integral diverges: some prefix sum of lambda - (n-1)*1 is nonnegative"
         )
+    import numpy as np  # here, so that the exact subcommands never load it
     ts = np.linspace(1.0, args.tmax, args.samples)
     ray = twisted.RaySpec(direction, ts)
     report = twisted.check_gr2(lam, args.p, args.n, [ray], delta=args.delta)
@@ -407,7 +406,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from scipy.integrate import quad
-
 from .vectors import DomainError
 
 
@@ -81,6 +79,8 @@ def oscillator_coefficient_quadrature(
     truncated at 12 standard deviations (the Gaussian tail beyond that is far
     below the 1e-8 verification threshold).
     """
+    # imported here so that importing quantind loads no scipy
+    from scipy.integrate import quad
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
     beta = _check_index(beta, len(a), "beta")

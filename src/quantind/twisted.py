@@ -21,9 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-from scipy.integrate import nquad, quad
-
 from .lpn import lpn
 from .vectors import DomainError, ExponentVector
 
@@ -167,6 +164,9 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
 
 
 def _integrate_box(integrand, p: int, T: float) -> tuple[float, float]:
+    # imported here so that the exact layers never load numpy or scipy
+    import numpy as np
+    from scipy.integrate import nquad, quad
     if p <= 3:
         opts = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
         if p == 1:
@@ -205,6 +205,7 @@ def fit_decay(
     n = len(ray.direction)
     if not converges(lam, None, n):
         raise DomainError("integral diverges for this lambda")
+    import numpy as np  # here, so that the exact layers never load it
     ts = np.asarray(ray.t_values)
     logs = np.array(
         [math.log(evaluate(ray.point(t), lam).value) for t in ts]
@@ -238,6 +239,7 @@ def check_gr2(
     """
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must be in (0, 1)")
+    import numpy as np  # here, so that the exact layers never load it
     result = lpn(lam, p, n)
     mu_bound = result.output
     rate_coeffs = mu_bound.floats()

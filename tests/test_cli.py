@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -215,3 +218,73 @@ def test_verify_integral_divergent(capsys):
     )
     assert code == 2
     assert "diverges" in err
+
+
+def test_overflow_is_not_malformed_input(capsys):
+    # a well-formed request whose long ray overflows a float
+    code, _, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-1/2",
+        "--ray", "1", "--tmax", "800", "--samples", "5", "--delta", "0.05",
+    )
+    assert code == 2
+    assert err.startswith("error: numerical overflow")
+    assert "malformed" not in err
+
+
+IMPORT_HYGIENE_SCRIPT = """
+import json, sys
+chain = sys.argv[1]
+import quantind, quantind.cli
+from quantind.cli import run
+
+def numerics():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+seen = {"import": numerics()}
+exact = {
+    "rho": ["rho", "--group", "Sp:3"],
+    "order": ["order", "--rel", "weak", "--x", "0,-1"],
+    "lpn": ["lpn", "--p", "2", "--n", "2", "--lambda", "-1,-2", "--oracle"],
+    "bound": ["bound", "--dir", "o2sp", "--p", "2", "--q", "3", "--n", "4",
+              "--lambda", "-7/2,-5/2"],
+    "range": ["range", "--test", "ss", "--dir", "o2sp", "--p", "2", "--q",
+              "3", "--n", "3", "--lambda", "-1,-1"],
+    "chain": ["chain", "--file", chain, "--json"],
+    "infchar": ["infchar", "--file", chain, "--chi", "1/2"],
+    "av": ["av", "--file", chain, "--d", "1"],
+    "oscillator": ["oscillator", "--a", "1,1", "--alpha", "0,0",
+                   "--beta", "0,0"],
+}
+codes = {}
+for name, argv in exact.items():
+    codes[name] = run(argv)
+    seen[name] = numerics()
+codes["quadrature"] = run(["oscillator", "--a", "1,1", "--alpha", "0,0",
+                           "--beta", "0,0", "--check-quadrature"])
+codes["verify-integral"] = run(["verify-integral", "--p", "1", "--n", "1",
+                                "--lambda", "-2", "--ray", "1", "--tmax", "4",
+                                "--samples", "5", "--delta", "0.05", "--json"])
+seen["numerical"] = numerics()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
+    # a fresh interpreter: this one has numpy and scipy loaded already
+    import quantind
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quantind.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_HYGIENE_SCRIPT, chain_file(GOOD_CHAIN)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert all(code == 0 for code in doc["codes"].values()), doc["codes"]
+    numerics = doc["seen"].pop("numerical")
+    assert numerics == ["numpy", "scipy"]
+    for step, loaded in doc["seen"].items():
+        assert loaded == [], f"{step} loaded {loaded}"
