@@ -100,6 +100,50 @@ def test_range(capsys):
     assert "false" in out
 
 
+# (test, dir, p, q, n, lambda, exit code, stdout or, on exit 2, stderr);
+# every (test, dir) pair the CLI accepts, plus its error messages
+RANGE_CASES = [
+    ("semistable", "o2sp", 2, 3, 3, "-1,-1", 0, "(-1,-1) - 3*1 + 2*rho(O(2,3)) < 0: true\n"),
+    ("semistable", "o2sp", 2, 3, 3, "3,0", 1, "(3,0) - 3*1 + 2*rho(O(2,3)) < 0: false\n"),
+    ("semistable", "o2sp", 2, 3, 3, "-5/2,1/2", 0, "(-5/2,1/2) - 3*1 + 2*rho(O(2,3)) < 0: true\n"),
+    ("semistable", "o2sp", 1, 2, 2, "-1/2", 0, "(-1/2) - 2*1 + 2*rho(O(1,2)) < 0: true\n"),
+    ("semistable", "o2sp", 1, 2, 2, "4", 1, "(4) - 2*1 + 2*rho(O(1,2)) < 0: false\n"),
+    ("semistable", "sp2o", 2, 3, 3, "-1,-1,-1", 1, "(-1,-1,-1) - (2+3)/2*1 + 2*rho(Sp(6)) < 0: false\n"),
+    ("semistable", "sp2o", 2, 3, 3, "-9/2,-7/2,-5/2", 0, "(-9/2,-7/2,-5/2) - (2+3)/2*1 + 2*rho(Sp(6)) < 0: true\n"),
+    ("semistable", "sp2o", 2, 3, 3, "-7,-1/2,-1", 0, "(-7,-1/2,-1) - (2+3)/2*1 + 2*rho(Sp(6)) < 0: true\n"),
+    ("semistable", "sp2o", 1, 2, 2, "-4,-3", 0, "(-4,-3) - (1+2)/2*1 + 2*rho(Sp(4)) < 0: true\n"),
+    ("semistable", "sp2o", 1, 2, 2, "1/3,-1/3", 1, "(1/3,-1/3) - (1+2)/2*1 + 2*rho(Sp(4)) < 0: false\n"),
+    ("ss", "o2sp", 2, 3, 3, "-1,-1", 0, "(-1,-1) - (3 - (2+3)/2)*1 + rho(O(2,3)) <= 0: true\n"),
+    ("ss", "o2sp", 2, 3, 3, "3,0", 1, "(3,0) - (3 - (2+3)/2)*1 + rho(O(2,3)) <= 0: false\n"),
+    ("ss", "o2sp", 2, 3, 3, "-5/2,1/2", 0, "(-5/2,1/2) - (3 - (2+3)/2)*1 + rho(O(2,3)) <= 0: true\n"),
+    ("ss", "o2sp", 1, 2, 2, "-1/2", 0, "(-1/2) - (2 - (1+2)/2)*1 + rho(O(1,2)) <= 0: true\n"),
+    ("ss", "o2sp", 1, 2, 2, "4", 1, "(4) - (2 - (1+2)/2)*1 + rho(O(1,2)) <= 0: false\n"),
+    ("ss", "sp2o", 2, 3, 3, "-1,-1,-1", 1, "(-1,-1,-1) - ((2+3)/2 - 3 - 1)*1 + rho(Sp(6)) <= 0: false\n"),
+    ("ss", "sp2o", 2, 3, 3, "-9/2,-7/2,-5/2", 0, "(-9/2,-7/2,-5/2) - ((2+3)/2 - 3 - 1)*1 + rho(Sp(6)) <= 0: true\n"),
+    ("ss", "sp2o", 2, 3, 3, "-7,-1/2,-1", 1, "(-7,-1/2,-1) - ((2+3)/2 - 3 - 1)*1 + rho(Sp(6)) <= 0: false\n"),
+    ("ss", "sp2o", 1, 2, 2, "-4,-3", 0, "(-4,-3) - ((1+2)/2 - 2 - 1)*1 + rho(Sp(4)) <= 0: true\n"),
+    ("ss", "sp2o", 1, 2, 2, "1/3,-1/3", 1, "(1/3,-1/3) - ((1+2)/2 - 2 - 1)*1 + rho(Sp(4)) <= 0: false\n"),
+    ("odd", "o2sp", 2, 3, 3, "-1,-1", 0, "(-1,-1) - (3 - (2+3-1)/2)*1 + rho(O(2,3)) <= 0: true\n"),
+    ("odd", "o2sp", 2, 3, 3, "3,0", 1, "(3,0) - (3 - (2+3-1)/2)*1 + rho(O(2,3)) <= 0: false\n"),
+    ("odd", "o2sp", 2, 3, 3, "-5/2,1/2", 0, "(-5/2,1/2) - (3 - (2+3-1)/2)*1 + rho(O(2,3)) <= 0: true\n"),
+    ("odd", "o2sp", 1, 2, 2, "-1/2", 0, "(-1/2) - (2 - (1+2-1)/2)*1 + rho(O(1,2)) <= 0: true\n"),
+    ("odd", "o2sp", 1, 2, 2, "4", 1, "(4) - (2 - (1+2-1)/2)*1 + rho(O(1,2)) <= 0: false\n"),
+    ("odd", "sp2o", 2, 3, 3, "-1,-1,-1", 2, "error: odd range test applies to the o2sp direction\n"),
+    ("odd", "o2sp", 2, 2, 3, "-1,-1", 2, "error: p+q must be odd\n"),
+    ("ss", "sp2o", 2, 3, 3, "-1,-1", 2, "error: lambda must have length n=3\n"),
+]
+
+
+@pytest.mark.parametrize("test,dir,p,q,n,lam,code,text", RANGE_CASES)
+def test_range_output_pinned(capsys, test, dir, p, q, n, lam, code, text):
+    got, out, err = invoke(
+        capsys, "range", "--test", test, "--dir", dir, "--p", str(p),
+        "--q", str(q), "--n", str(n), "--lambda", lam,
+    )
+    assert got == code
+    assert (out, err) == ((text, "") if code < 2 else ("", text))
+
+
 @pytest.fixture
 def chain_file(tmp_path):
     def write(doc, name="chain.json"):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -238,6 +239,35 @@ def test_infchar_Q_matches_two_step_composition():
             "o2sp", p, q, n2, infchar_theta("sp2o", p, q, n, chi)
         )
         assert via_q == via_theta
+
+
+# sha256 of every infchar_theta / infchar_Q value list (in order, after a
+# seed entry 1/3) over p <= q <= 8 (p = 0 included), n, n2 <= 8 and all
+# p2 <= q2 <= 8, mixed parities included: 19 800 size tuples in all
+INFCHAR_DIGEST = "77caacf591e183379fe56abc4edb5ff7c34e8f0decafa537ec85f46678442e3a"
+
+
+def test_infchar_values_pinned():
+    chi = InfChar([F(1, 3)])
+    pairs = [(p, q) for q in range(9) for p in range(q + 1)]
+    lines = []
+
+    def put(label, out):
+        lines.append(label + ": " + ",".join(str(v) for v in out.values))
+
+    for p, q in pairs:
+        for n in range(1, 9):
+            for d in ("o2sp", "sp2o"):
+                put(f"theta {d} {p},{q},{n}", infchar_theta(d, p, q, n, chi))
+            for p2, q2 in pairs:
+                sizes = (p, q, n, p2, q2)
+                put(f"Q O {sizes}", infchar_Q("O", sizes, chi))
+            for n2 in range(1, 9):
+                sizes = (n, p, q, n2)
+                put(f"Q Sp {sizes}", infchar_Q("Sp", sizes, chi))
+    assert len(lines) == 19800
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == INFCHAR_DIGEST
 
 
 def test_detect_limit_case():

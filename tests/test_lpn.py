@@ -45,6 +45,28 @@ def test_breakpoints_half_integer_staircase(p):
     assert bp.budgets == tuple(F(j * j, 2) for j in range(1, p + 1))
 
 
+# lambda through its prefix sums: any negative ones will do, and drawing
+# them from a few values makes ties between the running caps common
+prefix_strategy = st.lists(
+    st.sampled_from([F(-k, 2) for k in range(1, 9)]), min_size=1, max_size=40
+)
+
+
+@given(prefix_strategy)
+@settings(max_examples=300)
+def test_breakpoints_match_greatest_minimizer_recursion(sums):
+    lam = ExponentVector(b - a for a, b in zip([0] + sums, sums))
+    caps = [-s for s in sums]
+    indices, lo = [], 0
+    while lo < len(caps):
+        best = min(caps[lo:])
+        lo = max(j for j in range(lo, len(caps)) if caps[j] == best) + 1
+        indices.append(lo)
+    bp = breakpoints(lam)
+    assert bp.indices == tuple(indices)
+    assert bp.budgets == tuple(caps[j - 1] for j in indices)
+
+
 def test_breakpoints_reject_non_dominated():
     with pytest.raises(DomainError):
         breakpoints(ev(1, -3))
