@@ -166,29 +166,12 @@ def _cmd_bound(args) -> int:
 
 def _cmd_range(args) -> int:
     lam = ExponentVector(_parse_csv(args.lam))
+    if (args.test, args.dir) not in induction.RANGE_TESTS:
+        raise DomainError("odd range test applies to the o2sp direction")
+    pred, template = induction.RANGE_TESTS[args.test, args.dir]
     p, q, n = args.p, args.q, args.n
-    if args.test == "semistable":
-        if args.dir == "o2sp":
-            ok = induction.in_semistable_O_to_Sp(lam, p, q, n)
-            ineq = f"{_fmt_vec(lam)} - {n}*1 + 2*rho(O({p},{q})) < 0"
-        else:
-            ok = induction.in_semistable_Sp_to_O(lam, n, p, q)
-            ineq = f"{_fmt_vec(lam)} - ({p}+{q})/2*1 + 2*rho(Sp({2 * n})) < 0"
-    elif args.test == "ss":
-        if args.dir == "o2sp":
-            ok = induction.in_ss_O_to_Sp(lam, p, q, n)
-            ineq = f"{_fmt_vec(lam)} - ({n} - ({p}+{q})/2)*1 + rho(O({p},{q})) <= 0"
-        else:
-            ok = induction.in_ss_Sp_to_O(lam, n, p, q)
-            ineq = (
-                f"{_fmt_vec(lam)} - (({p}+{q})/2 - {n} - 1)*1 "
-                f"+ rho(Sp({2 * n})) <= 0"
-            )
-    else:
-        if args.dir != "o2sp":
-            raise DomainError("odd range test applies to the o2sp direction")
-        ok = induction.in_odd_range_O_to_Sp(lam, p, q, n)
-        ineq = f"{_fmt_vec(lam)} - ({n} - ({p}+{q}-1)/2)*1 + rho(O({p},{q})) <= 0"
+    ok = pred(lam, p=p, q=q, n=n)
+    ineq = template.format(lam=_fmt_vec(lam), p=p, q=q, n=n, two_n=2 * n)
     print(f"{ineq}: {'true' if ok else 'false'}")
     return 0 if ok else 1
 

@@ -117,6 +117,29 @@ def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     return weakly_dominated(rho_shift(lam, g, c, 1))
 
 
+# (test, dir) -> (predicate, inequality), the template filled with
+# lam, p, q, n and two_n; every predicate takes (lam, p=, q=, n=)
+RANGE_TESTS = {
+    ("semistable", "o2sp"): (in_semistable_O_to_Sp,
+                             "{lam} - {n}*1 + 2*rho(O({p},{q})) < 0"),
+    ("semistable", "sp2o"): (in_semistable_Sp_to_O,
+                             "{lam} - ({p}+{q})/2*1 + 2*rho(Sp({two_n})) < 0"),
+    ("ss", "o2sp"): (in_ss_O_to_Sp,
+                     "{lam} - ({n} - ({p}+{q})/2)*1 + rho(O({p},{q})) <= 0"),
+    ("ss", "sp2o"): (in_ss_Sp_to_O,
+                     "{lam} - (({p}+{q})/2 - {n} - 1)*1 + rho(Sp({two_n})) <= 0"),
+    ("odd", "o2sp"): (in_odd_range_O_to_Sp,
+                      "{lam} - ({n} - ({p}+{q}-1)/2)*1 + rho(O({p},{q})) <= 0"),
+}
+
+
+def _admissible(lam: ExponentVector, src, dst) -> bool:
+    """The ss test for transferring the bound lam from group `src` into `dst`."""
+    if isinstance(src, Orthogonal):
+        return in_ss_O_to_Sp(lam, src.p, src.q, dst.n)
+    return in_ss_Sp_to_O(lam, src.n, dst.p, dst.q)
+
+
 # ---------------------------------------------------------------------------
 # one-step size validation
 
@@ -187,9 +210,9 @@ def validate_chain(chain: DualPairChain) -> ValidationReport:
 
 def _chain_initial(chain: DualPairChain, rep: ValidationReport) -> None:
     lam = chain.initial_lambda
+    src, dst = chain.groups[:2]
     if chain.start_kind == "O":
-        o1, s1 = chain.groups[:2]
-        p1, q1, n1 = o1.p, o1.q, s1.n
+        p1, q1, n1 = src.p, src.q, dst.n
         rep.add(
             "initial-size",
             "p1 + q1 <= 2 n1 + 1",
@@ -197,17 +220,14 @@ def _chain_initial(chain: DualPairChain, rep: ValidationReport) -> None:
             f"{2 * n1 + 1}",
             p1 + q1 <= 2 * n1 + 1,
         )
-        ineq = "lambda - (n1 - (p1+q1)/2)*1 + rho(O(p1,q1)) <= 0"
-        ok = in_ss_O_to_Sp(lam, p1, q1, n1)
     else:
-        s1, o1 = chain.groups[:2]
-        n1, p1, q1 = s1.n, o1.p, o1.q
+        n1, p1, q1 = src.n, dst.p, dst.q
         rep.add(
             "initial-size", "n1 < p1 <= q1", f"{n1}", f"({p1},{q1})", n1 < p1 <= q1
         )
-        ineq = "lambda - ((p1+q1)/2 - n1 - 1)*1 + rho(Sp(2n1)) <= 0"
-        ok = in_ss_Sp_to_O(lam, n1, p1, q1)
-    rep.add("initial-ss", ineq, _fmt_vec(lam), "0", ok)
+    _, template = RANGE_TESTS["ss", "o2sp" if chain.start_kind == "O" else "sp2o"]
+    ineq = template.format(lam="lambda", p="p1", q="q1", n="n1", two_n="2n1")
+    rep.add("initial-ss", ineq, _fmt_vec(lam), "0", _admissible(lam, src, dst))
 
 
 def _chain_inductive(chain: DualPairChain, rep: ValidationReport) -> None:
@@ -268,10 +288,9 @@ def _propagate_bounds(chain: DualPairChain, rep: ValidationReport) -> None:
         try:
             if isinstance(src, Orthogonal):
                 new = transfer.bound_O_to_Sp(src.p, src.q, dst.n, lam)
-                ss_ok = in_ss_Sp_to_O(new, dst.n, nxt.p, nxt.q) if nxt else True
             else:
                 new = transfer.bound_Sp_to_O(src.n, dst.p, dst.q, lam)
-                ss_ok = in_ss_O_to_Sp(new, dst.p, dst.q, nxt.n) if nxt else True
+            ss_ok = _admissible(new, dst, nxt) if nxt else True
         except DomainError as exc:
             rep.add(f"propagate[{k + 1}]", "transfer precondition", str(exc), "", False)
             return
@@ -308,22 +327,18 @@ def infchar_theta(
     The size trichotomy decides the concatenated string: for p+q < 2n+1 the
     string runs from n-(p+q)/2 down to 1 (p+q even) or 1/2 (odd); for
     2n+1 < p+q it runs from (p+q)/2-n-1 down to 0 (even) or 1/2 (odd);
-    at p+q in {2n, 2n+1} the character is unchanged.  `direction` ("o2sp"
-    or "sp2o") is validated but does not alter the trichotomy.
+    each is empty off its own side, so both are appended, and at p+q in
+    {2n, 2n+1} the character is unchanged.  `direction` ("o2sp" or "sp2o")
+    is validated but does not alter the trichotomy.
     """
     if direction not in ("o2sp", "sp2o"):
         raise DomainError("direction must be 'o2sp' or 'sp2o'")
     Orthogonal(p, q)
     Symplectic(n)
-    m = p + q
-    half = Fraction(m, 2)
-    if m < 2 * n + 1:
-        string = _descending_string(n - half, 1 + (m // 2) - half)
-    elif m > 2 * n + 1:
-        string = _descending_string(half - n - 1, half - (m // 2))
-    else:
-        string = []
-    return chi.oplus(string)
+    half = Fraction(p + q, 2)
+    frac = half % 1  # 0 for p+q even, 1/2 for odd
+    first = _descending_string(n - half, 1 - frac)
+    return chi.oplus(first + _descending_string(half - n - 1, frac))
 
 
 def infchar_Q(kind: str, sizes: Sequence[int], chi: InfChar) -> InfChar:
@@ -336,25 +351,18 @@ def infchar_Q(kind: str, sizes: Sequence[int], chi: InfChar) -> InfChar:
     if kind == "O":
         p, q, n, p2, q2 = sizes
         half = Fraction(p + q, 2)
-        half2 = Fraction(p2 + q2, 2)
-        if (p + q) % 2 == 0:
-            first = _descending_string(n - half, Fraction(1))
-            second = _descending_string(half2 - n - 1, Fraction(0))
-        else:
-            first = _descending_string(n - half, Fraction(1, 2))
-            second = _descending_string(half2 - n - 1, Fraction(1, 2))
-        return chi.oplus(first + second)
-    if kind == "Sp":
+        frac = half % 1  # the strings end at 1 - frac and frac
+        first = _descending_string(n - half, 1 - frac)
+        second = _descending_string(Fraction(p2 + q2, 2) - n - 1, frac)
+    elif kind == "Sp":
         n, p, q, n2 = sizes
         half = Fraction(p + q, 2)
-        if (p + q) % 2 == 0:
-            first = _descending_string(half - n - 1, Fraction(0))
-            second = _descending_string(n2 - half, Fraction(1))
-        else:
-            first = _descending_string(half - n - 1, Fraction(1, 2))
-            second = _descending_string(n2 - half, Fraction(1, 2))
-        return chi.oplus(first + second)
-    raise DomainError("kind must be 'O' or 'Sp'")
+        frac = half % 1  # the strings end at frac and 1 - frac
+        first = _descending_string(half - n - 1, frac)
+        second = _descending_string(n2 - half, 1 - frac)
+    else:
+        raise DomainError("kind must be 'O' or 'Sp'")
+    return chi.oplus(first + second)
 
 
 def detect_limit_case(kind: str, sizes: Sequence[int]) -> tuple[str, ...]:

@@ -3,7 +3,8 @@
 Given lambda < 0 (all prefix sums strictly negative, length p), the map
 produces mu >= 0 of length n by water-filling an n x p matrix eta of weights
 in [0, 1] under cumulative budget constraints at the breakpoint indices, and
-returns -mu.  All arithmetic is exact rational.
+returns -mu.  The breakpoints are the strict suffix minima of the running
+caps -sum(lambda[:j]).  All arithmetic is exact rational.
 
 `lpn_oracle` re-derives the result by enumerating the feasible constraint
 structures (equality vs. saturated block at each breakpoint) and taking the
@@ -19,6 +20,8 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from .vectors import DomainError, ExponentVector, strictly_dominated
+
+ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,17 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
     j_1 is the greatest index attaining the minimum of -sum(lambda[:j]) over
     j in [1, p]; each later j_{s+1} is the greatest minimizer over
     [j_s + 1, p].  The recursion always terminates with j_m = p and the
-    budgets strictly increase.
+    budgets strictly increase.  j is a greatest suffix minimizer exactly when
+    every later cap is larger: one right-to-left pass finds these minima.
     """
     p = _check_dims(lam, p)
     caps = [-s for s in lam.prefix_sums()]  # caps[j-1] = -sum(lambda[:j])
-    indices: list[int] = []
-    budgets: list[Fraction] = []
-    lo = 0
-    while lo < p:
-        best = min(caps[lo:])
-        j = max(i for i in range(lo, p) if caps[i] == best) + 1  # 1-based
-        indices.append(j)
-        budgets.append(caps[j - 1])
-        lo = j
-    return BreakpointSequence(tuple(indices), tuple(budgets))
+    indices = [p]
+    for j in range(p - 1, 0, -1):
+        if caps[j - 1] < caps[indices[-1] - 1]:
+            indices.append(j)
+    indices.reverse()
+    return BreakpointSequence(tuple(indices), tuple(caps[j - 1] for j in indices))
 
 
 def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
@@ -162,22 +162,20 @@ def check_assignment(lam: ExponentVector, assignment: EtaAssignment) -> bool:
     return True
 
 
-def lpn_oracle(
-    lam: ExponentVector, p: int | None, n: int, max_cells: int = 16
-) -> ExponentVector:
+def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     """Lexicographic maximization of mu over all admissible constraint choices.
 
     Each breakpoint block independently demands either cumulative equality
     with its budget or full saturation under strict inequality; the oracle
     enumerates every combination, keeps the feasible ones, and for each one
     maximizes (mu_1, mu_2, ...) lexicographically given the implied block
-    totals.  Small instances only.
+    totals.  Small instances only: at most ORACLE_MAX_CELLS cells p*n.
     """
     p = _check_dims(lam, p)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if p * n > max_cells:
-        raise DomainError(f"oracle limited to {max_cells} cells, got {p * n}")
+    if p * n > ORACLE_MAX_CELLS:
+        raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {p * n}")
     bps = breakpoints(lam, p)
     m = len(bps.indices)
     widths = _widths(bps)

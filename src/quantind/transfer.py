@@ -16,7 +16,6 @@ from .vectors import (
     ExponentVector,
     Orthogonal,
     Symplectic,
-    constant_vector,
     rho_shift,
     strictly_dominated,
 )
@@ -34,8 +33,7 @@ def bound_O_to_Sp(p: int, q: int, n: int, lam: ExponentVector) -> ExponentVector
     shifted = rho_shift(lam, g, n, 2)
     if not strictly_dominated(shifted):
         raise DomainError("not in semistable range for this transfer")
-    out = lpn(shifted, p, n).output
-    return out - constant_vector(Fraction(q - p, 2), n)
+    return lpn(shifted, p, n).output.shift(Fraction(p - q, 2))
 
 
 def bound_Sp_to_O(n: int, p: int, q: int, lam: ExponentVector) -> ExponentVector:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .lpn import lpn
-from .vectors import DomainError, ExponentVector
+from .vectors import DomainError, ExponentVector, strictly_dominated
 
 TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
 MC_SAMPLES = 1_000_000
@@ -90,9 +90,7 @@ def converges(lam: ExponentVector, p: int | None, n: int) -> bool:
         raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
     if n < 1:
         raise DomainError("n must be >= 1")
-    return all(
-        s - j * (n - 1) < 0 for j, s in enumerate(lam.prefix_sums(), start=1)
-    )
+    return strictly_dominated(lam.shift(1 - n))
 
 
 def _margins(lam: ExponentVector, n: int) -> list[float]:
@@ -189,16 +187,13 @@ def _integrate_box(integrand, p: int, T: float) -> tuple[float, float]:
     return est, err
 
 
-def fit_decay(
-    ray: RaySpec, lam: ExponentVector, method: str = "aitken"
-) -> float:
+def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
     """Empirical decay rate of log L(a(t), lambda) along a ray.
 
-    method="lsq" is the plain least-squares slope over the ray's samples.
-    method="aitken" (default) accelerates the sequence of local slopes with
-    one Aitken delta-squared step, which removes the leading geometric
-    finite-window correction; it needs at least four samples and falls back
-    to the raw tail slope if the acceleration is ill-conditioned.
+    The sequence of local slopes is accelerated with one Aitken
+    delta-squared step, which removes the leading geometric finite-window
+    correction; with fewer than four samples, or if the acceleration is
+    ill-conditioned, the raw tail slope is returned.
     """
     if len(ray.t_values) < 3:
         raise DomainError("need at least 3 t_values")
@@ -210,10 +205,6 @@ def fit_decay(
     logs = np.array(
         [math.log(evaluate(ray.point(t), lam).value) for t in ts]
     )
-    if method == "lsq":
-        return float(np.polyfit(ts, logs, 1)[0])
-    if method != "aitken":
-        raise DomainError(f"unknown method {method!r}")
     slopes = (logs[1:] - logs[:-1]) / (ts[1:] - ts[:-1])
     if len(slopes) < 3:
         return float(slopes[-1])

@@ -40,10 +40,6 @@ class ExponentVector:
     def __setattr__(self, name, value):
         raise AttributeError("ExponentVector is immutable")
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -125,10 +121,6 @@ class Orthogonal:
     @property
     def rank(self) -> int:
         return self.p
-
-    @property
-    def parity_class(self) -> int:
-        return (self.p + self.q) % 2
 
     def __str__(self) -> str:
         return f"O({self.p},{self.q})"

@@ -112,18 +112,10 @@ def test_fit_decay_scalar():
     assert fit_decay(ray, ev(F(-5, 2))) == pytest.approx(-1.0, abs=0.05)
 
 
-def test_fit_decay_lsq_available():
-    ray = RaySpec([1.0], np.linspace(1.0, 6.0, 11))
-    slope = fit_decay(ray, ev(F(-1, 2)), method="lsq")
-    assert -0.6 < slope < -0.3
-    with pytest.raises(DomainError):
-        fit_decay(ray, ev(F(-1, 2)), method="nope")
-
-
 def test_fit_decay_diagonal_upper_bound():
     # mu = (2,1) so the diagonal decay must be at least (mu_1+mu_2)(1-delta)
     ray = RaySpec([1.0, 1.0], np.linspace(1.0, 4.0, 7))
-    slope = fit_decay(ray, ev(-1, -2), method="lsq")
+    slope = fit_decay(ray, ev(-1, -2))
     assert slope <= -(2 + 1) * (1 - 0.05)
 
 
