@@ -238,8 +238,8 @@ def _cmd_oscillator(args) -> int:
 def _cmd_verify_integral(args) -> int:
     lam = ExponentVector(_parse_csv(args.lam))
     direction = _parse_float_csv(args.ray)
-    if args.tmax <= 1.0:
-        raise DomainError("tmax must exceed 1")
+    if not 1.0 < args.tmax < float("inf"):
+        raise DomainError("tmax must be finite and exceed 1")
     if args.samples < 3:
         raise DomainError("need at least 3 samples")
     if not twisted.converges(lam, args.p, args.n):

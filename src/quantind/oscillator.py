@@ -36,6 +36,8 @@ def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
     a = tuple(float(x) for x in a)
     if not a or any(x <= 0 for x in a):
         raise DomainError("torus entries must be strictly positive")
+    if not all(map(math.isfinite, a)):
+        raise DomainError("torus entries must be finite")
     return a
 
 

@@ -40,6 +40,8 @@ class RaySpec:
     def __init__(self, direction: Sequence[float], t_values: Sequence[float]):
         d = tuple(float(x) for x in direction)
         t = tuple(float(x) for x in t_values)
+        if not all(map(math.isfinite, d + t)):
+            raise DomainError("direction and t_values must be finite")
         if not d or any(x < 0 for x in d) or all(x == 0 for x in d):
             raise DomainError("direction must be nonnegative and nonzero")
         if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
@@ -117,6 +119,8 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
         raise DomainError("a entries must be >= 1")
+    if not all(map(math.isfinite, a)):
+        raise DomainError("a entries must be finite")
     n = len(a)
     p = len(lam)
     if p > MAX_P:
@@ -238,6 +242,8 @@ def check_gr2(
     for ray in rays:
         if len(ray.direction) != n:
             raise DomainError("ray dimension must equal n")
+        if len(ray.t_values) < 3:
+            raise DomainError("need at least 3 t_values")
         rate = sum(m * s for m, s in zip(rate_coeffs, ray.direction))
         ts = np.asarray(ray.t_values)
         ratios = []

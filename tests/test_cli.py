@@ -275,6 +275,27 @@ def test_overflow_is_not_malformed_input(capsys):
     assert "malformed" not in err
 
 
+
+VERIFY_ARGS = ["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
+               "--samples", "5", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY_ARGS + ["--ray", "inf", "--tmax", "4"],
+    VERIFY_ARGS + ["--ray", "nan", "--tmax", "4"],
+    VERIFY_ARGS + ["--ray", "1", "--tmax", "nan"],
+    VERIFY_ARGS + ["--ray", "1", "--tmax", "inf"],
+    ["oscillator", "--a", "nan", "--alpha", "0", "--beta", "0"],
+    ["oscillator", "--a", "1,inf", "--alpha", "0,0", "--beta", "0,0"],
+])
+def test_non_finite_floats_are_malformed(capsys, argv):
+    # no verdict, no nan output and no traceback: a plain error, exit 2
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 IMPORT_HYGIENE_SCRIPT = """
 import json, sys
 chain = sys.argv[1]

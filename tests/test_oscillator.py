@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantind import (
+    DomainError,
     dual_pair_bound,
     gaussian_moment,
     h_kernel,
@@ -39,6 +40,14 @@ def test_example_single_coordinate():
 def test_odd_parity_vanishes():
     assert oscillator_coefficient([3.0], [0], [1]) == 0.0
     assert oscillator_coefficient([1.0, 2.0], [2, 1], [1, 2]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_torus_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        oscillator_coefficient([1.0, bad], [0, 0], [0, 0])
+    with pytest.raises(DomainError, match="finite"):
+        h_kernel([bad], [1.0])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

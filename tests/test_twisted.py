@@ -40,6 +40,11 @@ def test_rayspec_validation():
         RaySpec([0.0, 0.0], [1.0, 2.0])  # zero direction
     with pytest.raises(DomainError):
         RaySpec([1.0], [2.0, 1.0])  # t not increasing
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            RaySpec([bad], [1.0, 2.0])
+        with pytest.raises(DomainError, match="finite"):
+            RaySpec([1.0], [1.0, bad])
     ray = RaySpec([1.0, 0.0], [0.0, 1.0])
     assert ray.point(1.0) == (math.e, 1.0)
 
@@ -58,6 +63,9 @@ def test_evaluate_rejects_divergent():
         evaluate([2.0], ev(0))
     with pytest.raises(DomainError):
         evaluate([0.5], ev(-2))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate([bad], ev(-2))
 
 
 def test_truncation_soundness():
@@ -139,3 +147,10 @@ def test_check_gr2_rejects_bad_delta():
     rays = [RaySpec([1.0], [1.0, 2.0, 3.0])]
     with pytest.raises(DomainError):
         check_gr2(ev(-1), 1, 1, rays, delta=0.0)
+
+
+@pytest.mark.parametrize("ts", [[], [2.0], [1.0, 2.0]])
+def test_check_gr2_needs_three_t_values(ts):
+    # a trend fitted to fewer than three points says nothing
+    with pytest.raises(DomainError, match="at least 3 t_values"):
+        check_gr2(ev(-1), 1, 1, [RaySpec([1.0], ts)])
