@@ -251,9 +251,9 @@ def check_gr2(
             val = evaluate(ray.point(t), lam).value
             ratios.append(val / math.exp((1.0 - delta) * rate * t))
         ratios_arr = np.asarray(ratios)
-        # trend of the tail half: the surrogate asks for eventual
-        # non-increase, and the pre-asymptotic rise at small t is harmless
-        k = max(3, len(ts) // 2) if len(ts) > 3 else len(ts)
+        # trend of the tail half, at least three points: the surrogate asks
+        # for eventual non-increase, and the pre-asymptotic rise is harmless
+        k = max(3, len(ts) // 2)
         trend = float(np.polyfit(ts[-k:], np.log(ratios_arr[-k:]), 1)[0])
         bounded = bool(np.all(np.isfinite(ratios_arr))) and trend <= 1e-3
         checks.append(
