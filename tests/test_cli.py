@@ -240,6 +240,15 @@ def test_oscillator(capsys):
     assert out.startswith("value: 3.14159265359")
 
 
+def test_oscillator_huge_torus_entry(capsys):
+    # a^2 overflows a double; the coefficient sqrt(2 pi / a) does not
+    code, out, _ = invoke(
+        capsys, "oscillator", "--a", "1e200", "--alpha", "0", "--beta", "0",
+    )
+    assert code == 0
+    assert out == "value: 2.50662827463e-100\n"
+
+
 def test_verify_integral_json_deterministic(capsys):
     args = (
         "verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
@@ -265,14 +274,19 @@ def test_verify_integral_divergent(capsys):
 
 
 def test_overflow_is_not_malformed_input(capsys):
-    # a well-formed request whose long ray overflows a float
-    code, _, err = invoke(
-        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-1/2",
-        "--ray", "1", "--tmax", "800", "--samples", "5", "--delta", "0.05",
-    )
-    assert code == 2
-    assert err.startswith("error: numerical overflow")
-    assert "malformed" not in err
+    # well-formed requests whose long rays overflow a float
+    for argv in (
+        ["--p", "1", "--n", "1", "--lambda", "-1/2", "--ray", "1",
+         "--tmax", "800", "--samples", "5"],
+        ["--p", "2", "--n", "2", "--lambda", "-1,-2", "--ray", "1,1",
+         "--tmax", "300", "--samples", "3"],
+    ):
+        code, _, err = invoke(
+            capsys, "verify-integral", *argv, "--delta", "0.05",
+        )
+        assert code == 2
+        assert err.startswith("error: numerical overflow")
+        assert "malformed" not in err
 
 
 
@@ -326,6 +340,7 @@ for name, argv in exact.items():
     seen[name] = numerics()
 codes["quadrature"] = run(["oscillator", "--a", "1,1", "--alpha", "0,0",
                            "--beta", "0,0", "--check-quadrature"])
+seen["quadrature"] = numerics()
 codes["verify-integral"] = run(["verify-integral", "--p", "1", "--n", "1",
                                 "--lambda", "-2", "--ray", "1", "--tmax", "4",
                                 "--samples", "5", "--delta", "0.05", "--json"])
@@ -351,5 +366,6 @@ def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
     assert all(code == 0 for code in doc["codes"].values()), doc["codes"]
     numerics = doc["seen"].pop("numerical")
     assert numerics == ["numpy", "scipy"]
+    assert doc["seen"].pop("quadrature") == ["numpy"]
     for step, loaded in doc["seen"].items():
         assert loaded == [], f"{step} loaded {loaded}"

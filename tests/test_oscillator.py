@@ -50,7 +50,6 @@ def test_non_finite_torus_rejected(bad):
         h_kernel([bad], [1.0])
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @given(
     st.integers(0, 4),
     st.integers(0, 4),
@@ -71,6 +70,21 @@ def test_quadrature_agreement_high_order():
     closed = oscillator_coefficient([3.0, 7.0], [4, 2], [4, 6])
     quad = oscillator_coefficient_quadrature([3.0, 7.0], [4, 2], [4, 6])
     assert closed == pytest.approx(quad, rel=1e-8)
+
+
+def test_huge_torus_entry_does_not_overflow():
+    # a^2 overflows a double here; the values are far inside its range
+    a = 1e200
+    assert oscillator_coefficient([a], [0], [0]) == pytest.approx(
+        math.sqrt(2 * math.pi) / math.sqrt(a), rel=1e-14
+    )
+    assert oscillator_coefficient_quadrature([a], [0], [0]) == pytest.approx(
+        math.sqrt(2 * math.pi) / math.sqrt(a), rel=1e-14
+    )
+    assert h_kernel([1.0], [a]) == pytest.approx(1 / a, rel=1e-14)
+    assert h_kernel([a], [1 / a]) == pytest.approx(
+        1 / (a * math.sqrt(2)), rel=1e-14
+    )
 
 
 def test_oscillator_bound_values():

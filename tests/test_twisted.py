@@ -58,6 +58,49 @@ def test_pinned_scalar_value():
     assert est.abs_error < 1e-8
 
 
+def test_p2_long_ray_matches_closed_inner_integral():
+    # a = (A, A), A = e^100, lambda = (-1, -2): the b_1 integral is
+    # (2 A^2)^-1 log(1 + A^2 / b_2^2); the b_2 integral is done in
+    # u = log b_2 with A^-4 = e^{-4 L} taken out, split at the kink u = L
+    L = 100.0
+
+    def g(u):
+        return (
+            math.log1p(math.exp(2.0 * (L - u)))
+            * math.exp(-u)
+            / (2.0 * (1.0 + math.exp(2.0 * (u - L))))
+        )
+
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    ref = math.exp(-4.0 * L) * (quad(g, 0.0, L, **opts)[0]
+                                + quad(g, L, L + 100.0, **opts)[0])
+    est = evaluate([math.exp(L)] * 2, ev(-1, -2))
+    assert est.value == pytest.approx(ref, rel=1e-11)
+    assert abs(est.value - ref) <= est.abs_error + 1e-11 * ref
+
+
+# Values from bench/references.json (cubature, Genz-Malik, rtol as given).
+PINNED = [
+    ((6.0, 1.0), (F(-5, 2), -3, -3), 1.8231912432209e-05, 1e-8),
+    ((2.0, 2.0), (-3, -3, -3, -3), 1.2977437787185684e-06, 1e-8),
+    ((2.5, 1.5), (-3, -3, -3, -3, -3), 2.0926951805207986e-08, 1e-7),
+]
+
+
+@pytest.mark.parametrize("a,lam,ref,rtol", PINNED, ids=["p3", "p4", "p5"])
+def test_pinned_higher_dim_values(a, lam, ref, rtol):
+    est = evaluate(a, ev(*lam))
+    assert abs(est.value - ref) <= est.abs_error + rtol * ref
+    assert est.abs_error < 1e-3 * ref
+
+
+def test_rqmc_is_repeatable():
+    a, lam, _, _ = PINNED[1]
+    first = evaluate(a, ev(*lam))
+    assert first.node_count == 8 * 2**17 and first.truncation_T == math.inf
+    assert evaluate(a, ev(*lam)) == first
+
+
 def test_evaluate_rejects_divergent():
     with pytest.raises(DomainError):
         evaluate([2.0], ev(0))
@@ -147,6 +190,12 @@ def test_check_gr2_rejects_bad_delta():
     rays = [RaySpec([1.0], [1.0, 2.0, 3.0])]
     with pytest.raises(DomainError):
         check_gr2(ev(-1), 1, 1, rays, delta=0.0)
+
+
+def test_check_gr2_needs_a_ray():
+    # with no ray there is no check, so no verdict
+    with pytest.raises(DomainError, match="at least one ray"):
+        check_gr2(ev(-1), 1, 1, [])
 
 
 @pytest.mark.parametrize("ts", [[], [2.0], [1.0, 2.0]])
