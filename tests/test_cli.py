@@ -273,6 +273,16 @@ def test_verify_integral_divergent(capsys):
     assert "diverges" in err
 
 
+def test_verify_integral_long_scalar_ray(capsys):
+    # a = e^400 is a double, and the p = 1 integrand never squares it
+    code, out, _ = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-1/2",
+        "--ray", "1", "--tmax", "400", "--samples", "5", "--delta", "0.05",
+    )
+    assert code == 0
+    assert out.endswith("verdict: pass\n")
+
+
 def test_overflow_is_not_malformed_input(capsys):
     # well-formed requests whose long rays overflow a float
     for argv in (

@@ -131,15 +131,54 @@ def test_monotone_in_a():
 
 
 def test_single_variable_scaling_identity():
-    # L(a, lambda) = a^lambda * int_{b >= 1/a} (1+b^2)^{-1/2} b^lambda db
+    # L(a, lambda) = a^lambda * int_{b >= 1/a} (1+b^2)^{-1/2} b^lambda db,
+    # compared in logs because a^lambda underflows at a = e^600.  The b
+    # integral is taken in v = log b and scaled by e^K, its integrand's
+    # value at the lower end v = -log a.
     lam = -1.5
-    for a in (2.0, 5.0, 20.0):
-        lhs = evaluate([a], ev(F(-3, 2))).value
-        rhs, _ = quad(
-            lambda b: (1 + b * b) ** -0.5 * b**lam, 1.0 / a, np.inf
-        )
-        rhs *= a**lam
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+    opts = {"epsabs": 0.0, "epsrel": 1e-12, "limit": 200}
+    for a in (2.0, 5.0, 20.0, math.exp(600.0)):
+        log_a = math.log(a)
+        K = -(lam + 1.0) * log_a
+
+        def g(v):
+            return math.exp(lam * v - K) / math.hypot(math.exp(-v), 1.0)
+
+        inner = quad(g, -log_a, 0.0, **opts)[0] + quad(g, 0.0, np.inf, **opts)[0]
+        rhs = lam * log_a + K + math.log(inner)
+        lhs = math.log(evaluate([a], ev(F(-3, 2))).value)
+        assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+@pytest.mark.parametrize("L", [400.0, 600.0])
+def test_p1_long_ray_matches_asymptotics(L):
+    # lambda = -1/2, n = 1: L(a) = a^{-1/2} (Gamma(1/4)^2 / (2 sqrt(pi))
+    # - int_0^{1/a} (1+b^2)^{-1/2} b^{-1/2} db), and the integral dropped
+    # here is about 2 a^{-1/2}, far below a double's precision
+    ref = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(math.pi)) * math.exp(-L / 2)
+    est = evaluate([math.exp(L)], ev(F(-1, 2)))
+    assert abs(est.value - ref) <= est.abs_error < 1e-9 * ref
+
+
+ERROR_FIGURE_CASES = {
+    "p1-a1": ((1.0,), (-2,)),
+    "p1-e100": ((math.exp(100.0),), (F(-1, 2),)),
+    "p1-e400": ((math.exp(400.0),), (F(-1, 2),)),
+    "p2-e100": ((math.exp(100.0),) * 2, (-1, -2)),
+    "p3-a22": ((2.0, 2.0), (-3, -3, -3)),
+    "p3-a3-2-15": ((3.0, 2.0, 1.5), (-2, -2, -3)),
+}
+
+
+@pytest.mark.parametrize(
+    "a,lam", ERROR_FIGURE_CASES.values(), ids=ERROR_FIGURE_CASES.keys()
+)
+def test_error_figure_within_tolerance(a, lam):
+    # the tail part of abs_error is at most TAIL_FRACTION = 1e-9 of L by
+    # the choice of T, and the rule's part is held to rtol 1e-10
+    est = evaluate(a, ev(*lam))
+    assert 0.0 < est.value
+    assert est.abs_error <= 2e-9 * est.value
 
 
 def test_scalar_boundedness_windows():
@@ -161,6 +200,8 @@ def test_fit_decay_scalar():
     ray = RaySpec([1.0], np.linspace(1.0, 6.0, 11))
     assert fit_decay(ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=0.05)
     assert fit_decay(ray, ev(F(-5, 2))) == pytest.approx(-1.0, abs=0.05)
+    long_ray = RaySpec([1.0], [100.0 + 75.0 * i for i in range(5)])
+    assert fit_decay(long_ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=1e-3)
 
 
 def test_fit_decay_diagonal_upper_bound():
