@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
-from .vectors import DomainError, ExponentVector, strictly_dominated
+from .vectors import DomainError, ExponentVector
 
 ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
@@ -80,9 +80,14 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
     [j_s + 1, p].  The recursion always terminates with j_m = p and the
     budgets strictly increase.  j is a greatest suffix minimizer exactly when
     every later cap is larger: one right-to-left pass finds these minima.
+    Every cap must be positive: this is the lambda < 0 check of `lpn`.
     """
-    p = _check_dims(lam, p)
+    if p is not None and p != len(lam):
+        raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
     caps = [-s for s in lam.prefix_sums()]  # caps[j-1] = -sum(lambda[:j])
+    if min(caps) <= 0:
+        raise DomainError("lambda must satisfy lambda < 0 (all prefix sums negative)")
+    p = len(caps)
     indices = [p]
     for j in range(p - 1, 0, -1):
         if caps[j - 1] < caps[indices[-1] - 1]:
@@ -101,10 +106,9 @@ def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
     in order gives the row sums `_lex_max_rows`; eta itself is built only
     when read.
     """
-    p = _check_dims(lam, p)
+    bps = breakpoints(lam, p)
     if n < 1:
         raise DomainError("n must be >= 1")
-    bps = breakpoints(lam, p)
     widths = _widths(bps)
     totals: list[Fraction] = []
     cases: list[str] = []
@@ -171,12 +175,12 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     maximizes (mu_1, mu_2, ...) lexicographically given the implied block
     totals.  Small instances only: at most ORACLE_MAX_CELLS cells p*n.
     """
-    p = _check_dims(lam, p)
+    bps = breakpoints(lam, p)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if p * n > ORACLE_MAX_CELLS:
-        raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {p * n}")
-    bps = breakpoints(lam, p)
+    cells = len(lam) * n
+    if cells > ORACLE_MAX_CELLS:
+        raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {cells}")
     m = len(bps.indices)
     widths = _widths(bps)
     best: tuple[Fraction, ...] | None = None
@@ -230,11 +234,3 @@ def _lex_max_rows(
 
 def _widths(bps: BreakpointSequence) -> list[int]:
     return [j - prev for prev, j in zip((0,) + bps.indices[:-1], bps.indices)]
-
-
-def _check_dims(lam: ExponentVector, p: int | None) -> int:
-    if p is not None and p != len(lam):
-        raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
-    if not strictly_dominated(lam):
-        raise DomainError("lambda must satisfy lambda < 0 (all prefix sums negative)")
-    return len(lam)

@@ -65,6 +65,8 @@ class RaySpec:
 class IntegralEstimate:
     """The value of L(a, lambda) and its error figure.
 
+    value: always a positive normal double; where L lies below that range
+    `evaluate` raises OverflowError instead.
     abs_error: for p <= 3 the rule's own error estimate plus the tail bound
     beyond truncation_T, the side of the t-space box [0, T]^p; T makes that
     tail part at most TAIL_FRACTION = 1e-9 of L.  For p = 4, 5 it is three
@@ -130,7 +132,8 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     the tail bound is at most p exp(-min |m_j| T) / prod |m_j|.  At
     t0 = (0, ..., 0, c), log f(t0) = m_p c - p sum_k log hypot(a_k e^{-c}, 1),
     with c the best of 0 and the log a_k.  p = 4, 5: randomised quasi-Monte
-    Carlo over [0, inf)^p, no truncation.
+    Carlo over [0, inf)^p, no truncation.  Raises OverflowError where L
+    lies below the normal double range.
     """
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
@@ -146,23 +149,23 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     margins = _margins(lam, n)
     lam_f = lam.floats()
     if p >= 4:
-        return _rqmc(a, lam_f, margins)
-    log_f0 = max(
-        margins[-1] * c
-        - p * sum(math.log(math.hypot(x * math.exp(-c), 1.0)) for x in a)
-        for c in [0.0] + [math.log(x) for x in a]
-    )
-    T = (math.log(p / TAIL_FRACTION) - log_f0) / min(abs(m) for m in margins)
-    if p == 1:
-        value, rule_err, nodes = _quad_box(a, margins[0], T)
+        T = math.inf
+        value, error, nodes = _rqmc(a, lam_f, margins)
     else:
-        value, rule_err, nodes = _cubature_box(a, lam_f, T)
-    return IntegralEstimate(
-        value=value,
-        abs_error=rule_err + _tail_bound(margins, T),
-        truncation_T=T,
-        node_count=nodes,
-    )
+        log_f0 = max(
+            margins[-1] * c
+            - p * sum(math.log(math.hypot(x * math.exp(-c), 1.0)) for x in a)
+            for c in [0.0] + [math.log(x) for x in a]
+        )
+        T = (math.log(p / TAIL_FRACTION) - log_f0) / min(abs(m) for m in margins)
+        box = _quad_box(a, margins[0], T) if p == 1 else _cubature_box(a, lam_f, T)
+        value, error, nodes = box
+        error += _tail_bound(margins, T)
+    if not value >= sys.float_info.min:
+        raise OverflowError(
+            f"L(a, lambda) = {value:.3g} is below the normal double range"
+        )
+    return IntegralEstimate(value, error, T, nodes)
 
 
 def _quad_box(a, m: float, T: float) -> tuple[float, float, int]:
@@ -230,7 +233,7 @@ def _cubature_box(a, lam_f, T: float) -> tuple[float, float, int]:
     return float(res.estimate), float(res.error), count
 
 
-def _rqmc(a, lam_f, margins) -> IntegralEstimate:
+def _rqmc(a, lam_f, margins) -> tuple[float, float, int]:
     """p = 4, 5: RQMC_REPLICATES scrambled Sobol' sequences (Owen 1998).
 
     Points are mapped to [0, inf)^p by t_j = -log(1 - u_j) / c_j with
@@ -248,12 +251,20 @@ def _rqmc(a, lam_f, margins) -> IntegralEstimate:
         t = -np.log1p(-u) / c
         means.append(float(np.mean(np.exp(log_f(t) + t @ c))))
     means = np.asarray(means) / float(np.prod(c))
-    return IntegralEstimate(
-        value=float(means.mean()),
-        abs_error=3.0 * float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES),
-        truncation_T=math.inf,
-        node_count=RQMC_REPLICATES << RQMC_LOG2_POINTS,
+    return (
+        float(means.mean()),
+        3.0 * float(means.std(ddof=1)) / math.sqrt(RQMC_REPLICATES),
+        RQMC_REPLICATES << RQMC_LOG2_POINTS,
     )
+
+
+def _ray_logs(ray: RaySpec, lam: ExponentVector):
+    """The t-values of a ray and log L(a(t), lambda) at each, as arrays."""
+    if len(ray.t_values) < 3:
+        raise DomainError("need at least 3 t_values")
+    import numpy as np  # here, so that the exact layers never load it
+    ts = np.asarray(ray.t_values)
+    return ts, np.array([math.log(evaluate(ray.point(t), lam).value) for t in ts])
 
 
 def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
@@ -262,18 +273,11 @@ def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
     The sequence of local slopes is accelerated with one Aitken
     delta-squared step, which removes the leading geometric finite-window
     correction; with fewer than four samples, or if the acceleration is
-    ill-conditioned, the raw tail slope is returned.
+    ill-conditioned, the raw tail slope is returned.  `evaluate` raises
+    DomainError for a divergent lambda and OverflowError where L lies below
+    the normal double range.
     """
-    if len(ray.t_values) < 3:
-        raise DomainError("need at least 3 t_values")
-    n = len(ray.direction)
-    if not converges(lam, None, n):
-        raise DomainError("integral diverges for this lambda")
-    import numpy as np  # here, so that the exact layers never load it
-    ts = np.asarray(ray.t_values)
-    logs = np.array(
-        [math.log(evaluate(ray.point(t), lam).value) for t in ts]
-    )
+    ts, logs = _ray_logs(ray, lam)
     slopes = (logs[1:] - logs[:-1]) / (ts[1:] - ts[:-1])
     if len(slopes) < 3:
         return float(slopes[-1])
@@ -294,8 +298,9 @@ def check_gr2(
     """Bounded-ratio surrogate for the weak bound L(a(t), lambda) <~ a(t)^mu.
 
     mu = L(p,n)(lambda).  Along each ray the ratio of the integral to
-    exp((1-delta) (mu . s) t) must stay bounded with a non-increasing trend;
-    the report carries the per-ray maxima and fitted trend slopes.
+    exp((1-delta) (mu . s) t) must stay bounded with a non-increasing trend.
+    The trend is fitted to log L - (1-delta) (mu . s) t, and the ratios are
+    its exp; the report carries the per-ray maxima and fitted trend slopes.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError("delta must be in (0, 1)")
@@ -309,29 +314,21 @@ def check_gr2(
     for ray in rays:
         if len(ray.direction) != n:
             raise DomainError("ray dimension must equal n")
-        if len(ray.t_values) < 3:
-            raise DomainError("need at least 3 t_values")
         rate = sum(m * s for m, s in zip(rate_coeffs, ray.direction))
-        ts = np.asarray(ray.t_values)
-        ratios = []
-        for t in ts:
-            val = evaluate(ray.point(t), lam).value
-            # raises OverflowError, not ZeroDivisionError, where the
-            # scale leaves the double range
-            ratios.append(val * math.exp(-(1.0 - delta) * rate * t))
-        ratios_arr = np.asarray(ratios)
+        ts, logs = _ray_logs(ray, lam)
+        log_ratios = logs - (1.0 - delta) * rate * ts
         # trend of the tail half, at least three points: the surrogate asks
         # for eventual non-increase, and the pre-asymptotic rise is harmless
         k = max(3, len(ts) // 2)
-        trend = float(np.polyfit(ts[-k:], np.log(ratios_arr[-k:]), 1)[0])
-        bounded = bool(np.all(np.isfinite(ratios_arr))) and trend <= 1e-3
+        trend = float(np.polyfit(ts[-k:], log_ratios[-k:], 1)[0])
+        ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
         checks.append(
             RayCheck(
                 direction=ray.direction,
-                max_ratio=float(ratios_arr.max()),
+                max_ratio=max(ratios),
                 trend_slope=trend,
-                bounded=bounded,
-                ratios=tuple(float(r) for r in ratios_arr),
+                bounded=trend <= 1e-3,
+                ratios=ratios,
             )
         )
     return Gr2Report(lam=lam, mu_bound=mu_bound, delta=delta, rays=checks)

@@ -181,6 +181,17 @@ def test_error_figure_within_tolerance(a, lam):
     assert est.abs_error <= 2e-9 * est.value
 
 
+@pytest.mark.parametrize("log_a,lam", [
+    (200.0, (-1, -2)),
+    (150.0, (-3, -3, -3, -3)),
+], ids=["p2-e200", "p4-e150"])
+def test_value_below_double_range_raises(log_a, lam):
+    # L is about e^-800 and e^-1800 here: a value of 0.0 with an error of
+    # 0.0 would claim an exact answer, so evaluate raises instead
+    with pytest.raises(OverflowError, match="double range"):
+        evaluate([math.exp(log_a)] * 2, ev(*lam))
+
+
 def test_scalar_boundedness_windows():
     # a^{1/2} * L(a) bounded above and below for lam = -1/2
     vals = [
@@ -204,6 +215,13 @@ def test_fit_decay_scalar():
     assert fit_decay(long_ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_fit_decay_long_diagonal_raises_below_double_range():
+    # L at t = 250 is about e^-1000: no log of it is taken, no slope is fitted
+    ray = RaySpec([1.0, 1.0], [100.0 + 75.0 * i for i in range(5)])
+    with pytest.raises(OverflowError, match="double range"):
+        fit_decay(ray, ev(-1, -2))
+
+
 def test_fit_decay_diagonal_upper_bound():
     # mu = (2,1) so the diagonal decay must be at least (mu_1+mu_2)(1-delta)
     ray = RaySpec([1.0, 1.0], np.linspace(1.0, 4.0, 7))
@@ -225,6 +243,24 @@ def test_check_gr2_small_case():
     report = check_gr2(ev(F(-1, 2)), 1, 2, rays, delta=0.05)
     assert report.mu_bound == ev(F(-1, 2), 0)
     assert report.ok
+
+
+def test_check_gr2_raises_below_double_range():
+    # the bound holds on this ray, but L at t = 200 is below the double
+    # range: no verdict may rest on a value of 0.0
+    rays = [RaySpec([1.0, 1.0], [1.0, 100.0, 200.0])]
+    with pytest.raises(OverflowError, match="double range"):
+        check_gr2(ev(-1, -2), 2, 2, rays, delta=0.05)
+
+
+def test_check_gr2_ratios_are_exp_of_the_fitted_log_ratios():
+    ray = RaySpec([1.0, 0.0], np.linspace(1.0, 6.0, 11))
+    check = check_gr2(ev(-1, -2), 2, 2, [ray], delta=0.05).rays[0]
+    logs = [math.log(r) for r in check.ratios]
+    assert check.trend_slope == pytest.approx(
+        np.polyfit(ray.t_values[-5:], logs[-5:], 1)[0], rel=1e-9
+    )
+    assert check.max_ratio == max(check.ratios)
 
 
 def test_check_gr2_rejects_bad_delta():
