@@ -91,14 +91,64 @@ PINNED = [
 def test_pinned_higher_dim_values(a, lam, ref, rtol):
     est = evaluate(a, ev(*lam))
     assert abs(est.value - ref) <= est.abs_error + rtol * ref
-    assert est.abs_error < 1e-3 * ref
+    assert est.abs_error <= 2e-9 * ref
 
 
-def test_rqmc_is_repeatable():
-    a, lam, _, _ = PINNED[1]
-    first = evaluate(a, ev(*lam))
-    assert first.node_count == 8 * 2**17 and first.truncation_T == math.inf
-    assert evaluate(a, ev(*lam)) == first
+@pytest.mark.parametrize("a,c,p", [
+    ((2.0, 2.0), -3, 4),
+    ((2.5, 1.5), -3, 5),
+    ((3.0,), -2, 6),
+    ((2.0, 1.0), -3, 8),
+])
+def test_equal_exponents_identity(a, c, p):
+    # with lambda = (c, ..., c) the integrand is symmetric in b, so the
+    # chamber b_1 >= ... >= b_p >= 1 carries 1/p! of the mass: L = L_1^p / p!
+    L1, _ = quad(
+        lambda b: b**c / math.prod(math.hypot(ak, b) for ak in a),
+        1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    ref = L1**p / math.factorial(p)
+    est = evaluate(a, ev(*[c] * p))
+    assert abs(est.value - ref) <= est.abs_error
+
+
+def near_divergent_reference(eps):
+    """L(a = 2, lambda = (-eps, -2)) with the slow tail done in closed form.
+
+    L = int_0^inf g_2(u) G(u) du with g_2(u) = e^{-u} / sqrt(4 + e^{2u}) and
+    G(u) = int_u^inf e^{-eps s} (1 + 4 e^{-2s})^{-1/2} ds
+         = e^{-eps u} / eps + int_u^inf e^{-eps s} ((1 + 4 e^{-2s})^{-1/2} - 1) ds,
+    whose last integrand decays like e^{-2s}.
+    """
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+
+    def rest(s):  # expm1 and log1p: no cancellation in (1 + x)^{-1/2} - 1
+        x = 4.0 * math.exp(-2.0 * s)
+        return math.exp(-eps * s) * math.expm1(-0.5 * math.log1p(x))
+
+    def outer(u):
+        G = math.exp(-eps * u) / eps + quad(rest, u, np.inf, **opts)[0]
+        return math.exp(-2.0 * u) / math.hypot(2.0 * math.exp(-u), 1.0) * G
+
+    return quad(outer, 0.0, np.inf, **opts)[0]
+
+
+@pytest.mark.parametrize("k,pinned", [(1000, 308.7481725859), (10**6, None)])
+def test_near_divergent_value_within_its_error(k, pinned):
+    # margin -1/k: the mass reaches s_1 ~ 10 k and T ~ 2.3e4 k, yet the
+    # graded panels stay few
+    ref = near_divergent_reference(1.0 / k)
+    assert pinned is None or ref == pytest.approx(pinned, rel=1e-12)
+    est = evaluate([2.0], ev(F(-1, k), -2))
+    assert abs(est.value - ref) <= est.abs_error <= 2e-9 * ref
+    assert est.node_count < 10_000
+
+
+def test_grid_too_large_is_refused_before_it_is_built():
+    # lambda_2 + 1 - n > 0 makes the inner F grow, which caps the panel
+    # width, while the margin -10^-6 stretches the grid to s ~ 5e7
+    with pytest.raises(DomainError, match="panels"):
+        evaluate([2.0], ev(-1, F(999_999, 10**6)))
 
 
 def test_evaluate_rejects_divergent():
@@ -175,10 +225,33 @@ ERROR_FIGURE_CASES = {
 )
 def test_error_figure_within_tolerance(a, lam):
     # the tail part of abs_error is at most TAIL_FRACTION = 1e-9 of L by
-    # the choice of T, and the rule's part is held to rtol 1e-10
+    # the choice of T; the rule's part is quad's rtol 1e-10 for p = 1 and
+    # the gap between two Gauss-Legendre orders for p >= 2
     est = evaluate(a, ev(*lam))
     assert 0.0 < est.value
     assert est.abs_error <= 2e-9 * est.value
+
+
+@pytest.mark.parametrize("name", ["p3-a22", "p3-a3-2-15"])
+def test_p3_matches_t_space_cubature(name):
+    # an independent method on the unequal cases: adaptive cubature of the
+    # t-space integrand over [0, inf)^3, s_i = t_i + ... + t_p
+    from scipy.integrate import cubature
+    a, lam = ERROR_FIGURE_CASES[name]
+    n = len(a)
+    rates = np.array([float(x) + 1.0 - n for x in lam])
+
+    def f(t):
+        s = np.cumsum(t[:, ::-1], axis=1)[:, ::-1]
+        out = np.exp(s @ rates)
+        for ak in a:
+            out /= np.prod(np.hypot(ak * np.exp(-s), 1.0), axis=1)
+        return out
+
+    res = cubature(f, [0.0] * 3, [np.inf] * 3, rtol=1e-12, atol=0.0)
+    assert res.status == "converged"
+    est = evaluate(a, ev(*lam))
+    assert abs(est.value - res.estimate) <= est.abs_error + 1e-11 * res.estimate
 
 
 @pytest.mark.parametrize("log_a,lam", [
