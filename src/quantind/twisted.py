@@ -12,9 +12,9 @@ integrand is then bounded by exp(sum_j m_j t_j) with margins
     m_j = sum_{i<=j} (lambda_i - n + 1) < 0,
 
 which yields the convergence criterion and an analytic truncation tail
-bound.  p = 1 is one scalar `quad`; p >= 2 is the same integral in
-s_i = log b_i, an iterated one-dimensional integral evaluated in log space
-on Gauss-Legendre panels, for any p.  Exponents lambda are exact
+bound.  For every p the integral is then taken in s_i = log b_i, as an
+iterated one-dimensional integral evaluated in log space on Gauss-Legendre
+panels graded toward the knots s = log a_k.  Exponents lambda are exact
 rationals; evaluation is floating point.
 """
 
@@ -30,7 +30,7 @@ from .lpn import lpn
 from .vectors import DomainError, ExponentVector, strictly_dominated
 
 TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
-MAX_PANELS = 100_000  # bounds the memory of the p >= 2 recursion
+MAX_PANELS = 100_000  # bounds the memory of the panel recursion
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,14 @@ class IntegralEstimate:
     """The value of L(a, lambda) and its error figure.
 
     value: always a positive normal double; where L lies below that range
-    `evaluate` raises OverflowError instead.
+    `evaluate` raises OverflowError instead (`fit_decay` and `check_gr2`
+    work on log L and need no such value).
     abs_error: the rule's own error estimate plus the tail bound beyond
     truncation_T; T makes that tail part at most TAIL_FRACTION = 1e-9 of L.
-    For p = 1 the rule is `quad` on [0, T].  For p >= 2 it is the gap
-    between two Gauss-Legendre orders on s_1 <= p T, a region that holds the
-    t-space box [0, T]^p, plus a rounding term.
-    node_count: the number of integrand (factor g_i for p >= 2) evaluations.
+    The rule's part, for every p, is the gap between two Gauss-Legendre
+    orders on s_1 <= p T, a region that holds the t-space box [0, T]^p,
+    plus a rounding term.
+    node_count: the number of evaluations of the factors g_i.
     """
 
     value: float
@@ -110,152 +111,150 @@ def converges(lam: ExponentVector, p: int | None, n: int) -> bool:
     return strictly_dominated(lam.shift(1 - n))
 
 
-def _margins(lam: ExponentVector, n: int) -> list[float]:
-    return [
-        float(s) - j * (n - 1)
-        for j, s in enumerate(lam.prefix_sums(), start=1)
-    ]
-
-
-def _tail_bound(margins: Sequence[float], T: float) -> float:
-    """Mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape directions."""
-    return sum(math.exp(m * T) for m in margins) / math.prod(abs(m) for m in margins)
-
-
 def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     """Numerically evaluate L(a, lambda) with an error figure.
 
-    p = 1: adaptive `quad` on [0, T]; p >= 2: `_iterated` on s_1 <= p T,
-    whose excluded part {s_1 > p T} lies in the union of the {t_j > T}.  T
-    makes the tail bound at most TAIL_FRACTION of L: log f has slope at
-    least m_j in each t_j (its hypot factors shrink as t grows), so
-    L >= f(t0) / prod |m_j| for any t0, and the tail bound is at most
+    One method serves every p: `_iterated` integrates on s_1 <= p T, whose
+    excluded part {s_1 > p T} lies in the union of the {t_j > T}.  T makes
+    the tail bound at most TAIL_FRACTION of L: log f has slope at least m_j
+    in each t_j (its hypot factors shrink as t grows), so L >= f(t0) /
+    prod |m_j| for any t0, and the tail bound is at most
     p exp(-min |m_j| T) / prod |m_j|.  At t0 = (0, ..., 0, c),
     log f(t0) = m_p c - p sum_k log hypot(a_k e^{-c}, 1), with c the best of
     0 and the log a_k.  Raises OverflowError where L lies below the normal
     double range, DomainError where the grid would exceed MAX_PANELS.
     """
+    log_value, rel_error, T, nodes = _log_estimate(a, lam)
+    value = math.exp(log_value)
+    if not value >= sys.float_info.min:
+        raise OverflowError(
+            f"L(a, lambda) = e^{log_value:.6g} is below the normal double range"
+        )
+    return IntegralEstimate(value, value * rel_error, T, nodes)
+
+
+def _log_estimate(a, lam: ExponentVector) -> tuple[float, float, float, int]:
+    """log L(a, lambda), its relative error (rule and tail), T and the node
+    count: `evaluate` without the exp, so L may lie below the double range."""
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
         raise DomainError("a entries must be >= 1")
     if not all(map(math.isfinite, a)):
         raise DomainError("a entries must be finite")
-    n = len(a)
     p = len(lam)
-    if not converges(lam, p, n):
+    shifted = lam.shift(1 - len(a))  # lambda - (n-1)*1
+    if not strictly_dominated(shifted):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
-    margins = _margins(lam, n)
+    margins = [float(m) for m in shifted.prefix_sums()]
     log_f0 = max(
         margins[-1] * c
         - p * sum(math.log(math.hypot(x * math.exp(-c), 1.0)) for x in a)
         for c in [0.0] + [math.log(x) for x in a]
     )
     T = (math.log(p / TAIL_FRACTION) - log_f0) / min(abs(m) for m in margins)
-    if p == 1:
-        value, error, nodes = _quad_box(a, margins[0], T)
-    else:
-        value, error, nodes = _iterated(a, lam.shift(1 - n).floats(), p * T)
-    error += _tail_bound(margins, T)
-    if not value >= sys.float_info.min:
-        raise OverflowError(
-            f"L(a, lambda) = {value:.3g} is below the normal double range"
-        )
-    return IntegralEstimate(value, error, T, nodes)
-
-
-def _quad_box(a, m: float, T: float) -> tuple[float, float, int]:
-    """p = 1 on [0, T] with scalar `quad`, cheaper here than the panel
-    recursion.  f(t) = e^{m t} / prod_k hypot(a_k e^{-t}, 1) with
-    m = lambda + 1 - n: every factor is finite, so no step overflows."""
-    from scipy.integrate import quad  # here, so the exact layers load no scipy
-    count = 0
-
-    def integrand(t: float) -> float:
-        nonlocal count
-        count += 1
-        e = math.exp(-t)
-        out = math.exp(m * t)
-        for ak in a:
-            out /= math.hypot(ak * e, 1.0)
-        return out
-
-    # epsabs is the smallest normal double: the value may lie far below 1e-13
-    value, err = quad(
-        integrand, 0.0, T, epsabs=sys.float_info.min, epsrel=1e-10, limit=200
-    )
-    return value, err, count
+    log_value, rel_error, nodes = _iterated(a, shifted.floats(), p * T)
+    # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
+    # directions, relative to L
+    tail = sum(math.exp(m * T - log_value) for m in margins)
+    return log_value, rel_error + tail / math.prod(map(abs, margins)), T, nodes
 
 
 @functools.cache
-def _panel_rule(q: int):
-    """Gauss-Legendre nodes x and weights w on [-1, 1], and the matrix
-    C[j, k] = int_{-1}^{x_j} l_k of the Lagrange basis l_k at the nodes."""
+def _panel_rule():
+    """The q = 10 and q = 20 Gauss-Legendre rules on [-1, 1] side by side:
+    30 nodes x, a weight matrix W with one column per rule, the
+    block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
+    basis l_k, and the rule (column of W) of each node."""
+    import numpy as np
     from numpy.polynomial import legendre as leg
-    x, w = leg.leggauss(q)
-    # l_k in Legendre form: its coefficient of P_n is w_k (n + 1/2) P_n(x_k)
-    coef = leg.legvander(x, q - 1).T * [[n + 0.5] for n in range(q)] * w
-    return x, w, leg.legval(x, leg.legint(coef, lbnd=-1)).T
+    x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
+    for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
+        x[block], W[block, rule] = leg.leggauss(q)
+        # l_k in Legendre form: its coefficient of P_n is w_k (n + 1/2) P_n(x_k)
+        coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
+        coef *= W[block, rule]
+        C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
+    return x, W, C, np.repeat([0, 1], [10, 20])
 
 
 def _iterated(a, rates, S: float) -> tuple[float, float, int]:
-    """p >= 2 as an iterated one-dimensional integral on s in [0, S].
+    """log L, its relative error and the node count, as an iterated
+    one-dimensional integral on s in [0, S].
 
     In s_i = t_i + ... + t_p = log b_i the integrand is prod_i g_i(s_i),
     g_i(s) = e^{(lambda_i + 1) s} prod_k (a_k^2 + e^{2s})^{-1/2}, on
     S >= s_1 >= ... >= s_p >= 0: F_p(s) = int_0^s g_p,
     F_i(s) = int_0^s g_i F_{i+1}, L = F_1(S); rates[i] = lambda_i + 1 - n is
-    the slope of log g_i beyond the last kink max log a_k.  With F_i at the
+    the slope of log g_i beyond the last knot max log a_k.  With F_i at the
     nodes of Gauss-Legendre panels from `_panel_rule`'s matrix, this is
-    Gauss collocation for F_i' = g_i F_{i+1}, of order 2q at panel ends.
-    Each g_i is analytic in |Im s| < pi/2, so on panels no wider than their
-    distance to its edge the error falls geometrically in q (Trefethen,
-    SIAM Review 2008): the error figure is |I_20 - I_10| plus the rounding
-    of the per-level log totals.  Panels are 1 / max(1, steepest slope of
-    log g_i) wide up to the kink, which keeps the collocation asymptotic,
-    and as wide as their distance from it beyond, where the g_i are nearly
-    exponentials: the count grows like log S.  A growing inner F (some
-    r_i > 0, i >= 2) caps the width, and more than MAX_PANELS panels are
-    refused.  log F_i is carried with logaddexp, so no level underflows.
+    Gauss collocation for F_i' = g_i F_{i+1}, of order 2q at panel ends;
+    the outermost level needs only the panel totals.  Each g_i is analytic
+    in |Im s| < pi/2, its singularities lie above the knots s = log a_k, and
+    between knots log g_i is nearly linear.  So a panel as wide as its
+    distance to the nearest knot in {0} U {log a_k}, but at least h0 = 1 /
+    max(1, steepest slope of log g_i), keeps the error falling geometrically
+    in q (Trefethen, SIAM Review 2008; Babuska-Guo, Comput. Mech. 1986) with
+    O(log S) panels per knot.  The error figure is |I_20 - I_10| / I_20 plus
+    the rounding of the per-level log totals; both rules run on the same
+    nodes in one pass, each scaled by its own per-panel maximum.  Above a
+    knot lo the inner F grow at most like e^{G s}, with
+    G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+; widths in that
+    gap are capped at 2 / G, so that their values inside a panel, which the
+    next level reads, stay good to the q = 10 collocation order.  More than
+    MAX_PANELS panels are refused before any grid is built.  log F_i is
+    carried with logaddexp, so no level underflows.
     """
     import numpy as np
-    log_a = np.log(a)
-    kink = float(log_a.max())
+    log_a = [math.log(x) for x in a]
     h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + len(a))) for r in rates))
-    growth = sum(max(r, 0.0) for r in rates[1:])
-    cap = 4.0 / growth if growth else math.inf
-    panels = min(kink, S) / h0 + max(S - kink, 0.0) / cap
+    knots = sorted({0.0, *(k for k in log_a if k < S)})
+    # a gap between knots is graded toward both its ends, the last one, up
+    # to S, toward its knot only; inner F grow at most like e^{G s} in it
+    sides = []  # (knot, direction, length, cap)
+    for lo, hi in zip(knots, knots[1:] + [None]):
+        G = sum(max(r + sum(k >= lo for k in log_a), 0.0) for r in rates[1:])
+        cap = 2.0 / G if G else math.inf
+        if hi is None:
+            sides.append((lo, 1.0, S - lo, cap))
+        else:
+            sides += [(lo, 1.0, (hi - lo) / 2, cap), (hi, -1.0, (hi - lo) / 2, cap)]
+    # widths h0, h0, 2 h0, 4 h0, ... away from the knot, at most the cap:
+    # j doublings, then k panels as wide as the cap
+    grades = [(knot, sign, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
+               max(0, math.ceil(L / cap) - 1)) for knot, sign, L, cap in sides]
+    panels = sum(1 + j + k for *_, j, k in grades)
     if panels > MAX_PANELS:
         raise DomainError(f"the integral needs about {panels:.3g} panels")
-    edges = list(h0 * np.arange(min(kink, S) // h0 + 1))
-    while edges[-1] < S:
-        edges.append(min(S, edges[-1] + min(cap, max(h0, edges[-1] - kink))))
-    half = np.diff(edges)[:, None] / 2.0
-    mid = np.asarray(edges[:-1])[:, None] + half
-    logs = []
-    for q in (10, 20):
-        x, w, C = _panel_rule(q)
-        s = mid + half * x
-        d = s[..., None] - log_a  # sum_k log(a_k^2 + e^{2s}) / 2 - n s:
-        log_hyp = np.maximum(-d, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * abs(d)))
-        log_hyp = log_hyp.sum(axis=-1)
-        log_F = np.zeros_like(s)  # log(F_{i+1} / F_{i+1}(S)), 0 for i = p
-        logs.append([])  # log(F_i(S) / F_{i+1}(S)), one per level
-        for r in reversed(rates):
-            lh = r * s - log_hyp + log_F
-            top = lh.max(axis=1, keepdims=True)
-            h = np.exp(lh - top) * half
-            log_tot = np.log(h @ w) + top[:, 0]
-            cum = np.logaddexp.accumulate(np.concatenate(([-np.inf], log_tot)))
-            with np.errstate(divide="ignore"):  # a node with F = 0 adds nothing
-                local = np.log(np.maximum(h @ C.T, 0.0)) + top
-            log_F = np.logaddexp(cum[:-1, None], local) - cum[-1]
-            logs[-1].append(float(cum[-1]))
-    log_10, log_20 = sum(logs[0]), sum(logs[1])
-    value = math.exp(log_20)
+    edges = {S}
+    for knot, sign, cap, j, k in grades:
+        offsets = [h0 * 2.0**i for i in range(j)] + [cap * i for i in range(1, k + 1)]
+        edges.update(knot + sign * w for w in [0.0] + offsets)
+    edges = np.array(sorted(edges))
+    half = (edges[1:, None] - edges[:-1, None]) / 2.0
+    x, W, C, rule = _panel_rule()
+    s = edges[:-1, None] + half * (1.0 + x)
+    d = np.array(log_a)[:, None, None] - s  # sum_k log(a_k^2 + e^{2s}) / 2 - n s:
+    log_hyp = (np.maximum(d, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * abs(d)))).sum(0)
+    log_F = 0.0  # log(F_{i+1} / F_{i+1}(S)) at the nodes, 0 for i = p
+    levels = []  # log(F_i(S) / F_{i+1}(S)) per level, one column per rule
+    for i, r in reversed(list(enumerate(rates))):
+        lh = r * s - log_hyp + log_F
+        top = np.maximum.reduceat(lh, [0, 10], axis=1)
+        h = np.exp(lh - top[:, rule])
+        log_tot = np.log(h @ W * half) + top
+        if i == 0:
+            levels.append(np.logaddexp.reduce(log_tot, axis=0))
+            break
+        cum = np.logaddexp.accumulate(np.vstack((np.full(2, -np.inf), log_tot)))
+        with np.errstate(divide="ignore"):  # a node with F = 0 adds nothing
+            local = np.log(np.maximum(h @ C.T * half, 0.0)) + top[:, rule]
+        log_F = np.logaddexp(cum[:-1, rule], local) - cum[-1, rule]
+        levels.append(cum[-1])
+    log_10, log_20 = sum(levels)
     # plus rounding: each level's log total x is good to about eps |x|
-    rounding = 8.0 * sys.float_info.epsilon * sum(1.0 + abs(x) for x in logs[1])
-    error = value * (abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
-    return value, error, len(rates) * 30 * len(mid)
+    rounding = 8.0 * sys.float_info.epsilon * sum(1.0 + abs(v[1]) for v in levels)
+    error = abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding
+    return float(log_20), error, len(rates) * 30 * len(half)
 
 
 def _ray_logs(ray: RaySpec, lam: ExponentVector):
@@ -264,7 +263,7 @@ def _ray_logs(ray: RaySpec, lam: ExponentVector):
         raise DomainError("need at least 3 t_values")
     import numpy as np  # here, so that the exact layers never load it
     ts = np.asarray(ray.t_values)
-    return ts, np.array([math.log(evaluate(ray.point(t), lam).value) for t in ts])
+    return ts, np.array([_log_estimate(ray.point(t), lam)[0] for t in ts])
 
 
 def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
@@ -273,9 +272,8 @@ def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
     The sequence of local slopes is accelerated with one Aitken
     delta-squared step, which removes the leading geometric finite-window
     correction; with fewer than four samples, or if the acceleration is
-    ill-conditioned, the raw tail slope is returned.  `evaluate` raises
-    DomainError for a divergent lambda and OverflowError where L lies below
-    the normal double range.
+    ill-conditioned, the raw tail slope is returned.  It works on log L, so
+    L may lie below the double range; a divergent lambda raises DomainError.
     """
     ts, logs = _ray_logs(ray, lam)
     slopes = (logs[1:] - logs[:-1]) / (ts[1:] - ts[:-1])
@@ -322,6 +320,8 @@ def check_gr2(
         k = max(3, len(ts) // 2)
         trend = float(np.polyfit(ts[-k:], log_ratios[-k:], 1)[0])
         ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
+        if min(ratios) < sys.float_info.min:
+            raise OverflowError("a ratio is below the normal double range")
         checks.append(
             RayCheck(
                 direction=ray.direction,

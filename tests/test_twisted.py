@@ -210,6 +210,34 @@ def test_p1_long_ray_matches_asymptotics(L):
     assert abs(est.value - ref) <= est.abs_error < 1e-9 * ref
 
 
+def split_log_space_reference(a, lam):
+    """L(a, lambda) for p = 1 by `quad` in u = log b, split at the knots
+    u = log a_k and scaled by e^K, the integrand's largest knot value."""
+    def log_g(u):
+        return (lam + 1.0) * u - sum(
+            u + math.log(math.hypot(ak * math.exp(-u), 1.0)) for ak in a
+        )
+
+    knots = sorted({0.0, *(math.log(ak) for ak in a)})
+    K = max(map(log_g, knots))
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    return math.exp(K) * sum(
+        quad(lambda u: math.exp(log_g(u) - K), lo, hi, **opts)[0]
+        for lo, hi in zip(knots, knots[1:] + [np.inf])
+    )
+
+
+@pytest.mark.parametrize("log_a", [(30, 2), (60, 10, 0), (40, 39.5), (20, 20, 5)])
+@pytest.mark.parametrize("lam", [F(-1, 2), F(-3, 2), F(-5, 2)])
+def test_p1_several_knots_match_split_quad(log_a, lam):
+    # far-apart, close and repeated knots: the panels are graded toward each
+    a = [math.exp(x) for x in log_a]
+    ref = split_log_space_reference(a, float(lam))
+    est = evaluate(a, ev(lam))
+    assert abs(est.value - ref) <= est.abs_error + 1e-12 * ref
+    assert est.abs_error <= 2e-9 * est.value
+
+
 ERROR_FIGURE_CASES = {
     "p1-a1": ((1.0,), (-2,)),
     "p1-e100": ((math.exp(100.0),), (F(-1, 2),)),
@@ -225,8 +253,8 @@ ERROR_FIGURE_CASES = {
 )
 def test_error_figure_within_tolerance(a, lam):
     # the tail part of abs_error is at most TAIL_FRACTION = 1e-9 of L by
-    # the choice of T; the rule's part is quad's rtol 1e-10 for p = 1 and
-    # the gap between two Gauss-Legendre orders for p >= 2
+    # the choice of T; the rule's part is the gap between two
+    # Gauss-Legendre orders
     est = evaluate(a, ev(*lam))
     assert 0.0 < est.value
     assert est.abs_error <= 2e-9 * est.value
@@ -288,11 +316,12 @@ def test_fit_decay_scalar():
     assert fit_decay(long_ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=1e-3)
 
 
-def test_fit_decay_long_diagonal_raises_below_double_range():
-    # L at t = 250 is about e^-1000: no log of it is taken, no slope is fitted
+def test_fit_decay_long_diagonal_below_double_range():
+    # L at t = 250 is about e^-1000, below the double range, yet its log is
+    # the recursion's own: the slope tends to the Laplace rate E = -4 of
+    # lambda = (-1, -2), n = 2 on the diagonal
     ray = RaySpec([1.0, 1.0], [100.0 + 75.0 * i for i in range(5)])
-    with pytest.raises(OverflowError, match="double range"):
-        fit_decay(ray, ev(-1, -2))
+    assert fit_decay(ray, ev(-1, -2)) == pytest.approx(-4.0, abs=5e-3)
 
 
 def test_fit_decay_diagonal_upper_bound():
@@ -318,12 +347,23 @@ def test_check_gr2_small_case():
     assert report.ok
 
 
-def test_check_gr2_raises_below_double_range():
-    # the bound holds on this ray, but L at t = 200 is below the double
-    # range: no verdict may rest on a value of 0.0
+def test_check_gr2_below_double_range():
+    # L at t = 200 is about e^-800, below the double range, but the ratio
+    # L / e^{(1 - delta) (mu . s) t} is not: the bound holds on this ray
     rays = [RaySpec([1.0, 1.0], [1.0, 100.0, 200.0])]
+    report = check_gr2(ev(-1, -2), 2, 2, rays, delta=0.05)
+    assert report.ok
+    assert all(math.isfinite(r) and r > 0.0 for r in report.rays[0].ratios)
+    assert report.rays[0].trend_slope == pytest.approx(-1.12, abs=0.01)
+
+
+def test_check_gr2_ratio_below_double_range_raises():
+    # lambda = (-1, -1), n = 2 on the diagonal decays like e^{-4t} against
+    # the bound's e^{-2t}: at t = 400 the ratio is about e^-840, and a
+    # ratio of 0.0 would carry no verdict
+    rays = [RaySpec([1.0, 1.0], [1.0, 200.0, 400.0])]
     with pytest.raises(OverflowError, match="double range"):
-        check_gr2(ev(-1, -2), 2, 2, rays, delta=0.05)
+        check_gr2(ev(-1, -1), 2, 2, rays, delta=0.05)
 
 
 def test_check_gr2_ratios_are_exp_of_the_fitted_log_ratios():
