@@ -21,6 +21,7 @@ rationals; evaluation is floating point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -124,7 +125,10 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     0 and the log a_k.  Raises OverflowError where L lies below the normal
     double range, DomainError where the grid would exceed MAX_PANELS.
     """
-    log_value, rel_error, T, nodes = _log_estimate(a, lam)
+    a = tuple(float(x) for x in a)
+    if not a or any(x < 1.0 for x in a):
+        raise DomainError("a entries must be >= 1")
+    [log_value], [rel_error], [T], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
     value = math.exp(log_value)
     if not value >= sys.float_info.min:
         raise OverflowError(
@@ -133,37 +137,39 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     return IntegralEstimate(value, value * rel_error, T, nodes)
 
 
-def _log_estimate(a, lam: ExponentVector) -> tuple[float, float, float, int]:
-    """log L(a, lambda), its relative error (rule and tail), T and the node
-    count: `evaluate` without the exp, so L may lie below the double range."""
-    a = tuple(float(x) for x in a)
-    if not a or any(x < 1.0 for x in a):
-        raise DomainError("a entries must be >= 1")
-    if not all(map(math.isfinite, a)):
+def _log_hypot(d: float) -> float:
+    """log hypot(e^d, 1), for any real d."""
+    return max(d, 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(d)))
+
+
+def _log_estimate(log_a, lam: ExponentVector):
+    """`evaluate` without the exp, at each row of log a (the points of a ray,
+    in one pass), so L and a may lie outside the double range: lists of
+    log L, its relative error (rule and tail), T and the node count."""
+    if not all(math.isfinite(k) for row in log_a for k in row):
         raise DomainError("a entries must be finite")
     p = len(lam)
-    shifted = lam.shift(1 - len(a))  # lambda - (n-1)*1
-    if not strictly_dominated(shifted):
+    shifted = [x - (len(log_a[0]) - 1) for x in lam]  # lambda - (n-1)*1, exact
+    margins = list(itertools.accumulate(shifted))
+    if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
-    margins = [float(m) for m in shifted.prefix_sums()]
-    log_f0 = max(
-        margins[-1] * c
-        - p * sum(math.log(math.hypot(x * math.exp(-c), 1.0)) for x in a)
-        for c in [0.0] + [math.log(x) for x in a]
-    )
-    T = (math.log(p / TAIL_FRACTION) - log_f0) / min(abs(m) for m in margins)
-    log_value, rel_error, nodes = _iterated(a, shifted.floats(), p * T)
+    margins = [float(m) for m in margins]
+    log_f0 = [max(margins[-1] * c - p * sum(_log_hypot(k - c) for k in row)
+                  for c in [0.0, *row]) for row in log_a]
+    Ts = [(math.log(p / TAIL_FRACTION) - f0) / min(map(abs, margins)) for f0 in log_f0]
+    logs, errors, nodes = _iterated(log_a, [*map(float, shifted)], [p * T for T in Ts])
     # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
     # directions, relative to L
-    tail = sum(math.exp(m * T - log_value) for m in margins)
-    return log_value, rel_error + tail / math.prod(map(abs, margins)), T, nodes
+    errors = [e + sum(math.exp(m * T - v) for m in margins) / math.prod(map(abs, margins))
+              for v, e, T in zip(logs, errors, Ts)]
+    return logs, errors, Ts, nodes
 
 
 @functools.cache
 def _panel_rule():
     """The q = 10 and q = 20 Gauss-Legendre rules on [-1, 1] side by side:
-    30 nodes x, a weight matrix W with one column per rule, the
-    block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
+    30 nodes x, a weight matrix W with one column per rule, [C^T W] with
+    the block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
     basis l_k, and the rule (column of W) of each node."""
     import numpy as np
     from numpy.polynomial import legendre as leg
@@ -174,12 +180,12 @@ def _panel_rule():
         coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
         coef *= W[block, rule]
         C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
-    return x, W, C, np.repeat([0, 1], [10, 20])
+    return x, W, np.hstack((C.T, W)), np.repeat([0, 1], [10, 20])
 
 
-def _iterated(a, rates, S: float) -> tuple[float, float, int]:
-    """log L, its relative error and the node count, as an iterated
-    one-dimensional integral on s in [0, S].
+def _iterated(log_a, rates, S):
+    """log L, its relative error and the node count at each row of log_a, as
+    an iterated one-dimensional integral on s in [0, S], one S per row.
 
     In s_i = t_i + ... + t_p = log b_i the integrand is prod_i g_i(s_i),
     g_i(s) = e^{(lambda_i + 1) s} prod_k (a_k^2 + e^{2s})^{-1/2}, on
@@ -201,69 +207,100 @@ def _iterated(a, rates, S: float) -> tuple[float, float, int]:
     G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+; widths in that
     gap are capped at 2 / G, so that their values inside a panel, which the
     next level reads, stay good to the q = 10 collocation order.  More than
-    MAX_PANELS panels are refused before any grid is built.  log F_i is
-    carried with logaddexp, so no level underflows.
+    MAX_PANELS panels over all rows are refused before any grid is built.
+    The rows share one recursion on a leading axis, each grid padded with
+    copies of its last edge: zero-width panels, which add exactly -inf.
+    log F_i is carried with logaddexp, so no level underflows.
     """
     import numpy as np
-    log_a = [math.log(x) for x in a]
-    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + len(a))) for r in rates))
-    knots = sorted({0.0, *(k for k in log_a if k < S)})
-    # a gap between knots is graded toward both its ends, the last one, up
-    # to S, toward its knot only; inner F grow at most like e^{G s} in it
-    sides = []  # (knot, direction, length, cap)
-    for lo, hi in zip(knots, knots[1:] + [None]):
-        G = sum(max(r + sum(k >= lo for k in log_a), 0.0) for r in rates[1:])
-        cap = 2.0 / G if G else math.inf
-        if hi is None:
-            sides.append((lo, 1.0, S - lo, cap))
-        else:
-            sides += [(lo, 1.0, (hi - lo) / 2, cap), (hi, -1.0, (hi - lo) / 2, cap)]
-    # widths h0, h0, 2 h0, 4 h0, ... away from the knot, at most the cap:
-    # j doublings, then k panels as wide as the cap
-    grades = [(knot, sign, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
-               max(0, math.ceil(L / cap) - 1)) for knot, sign, L, cap in sides]
-    panels = sum(1 + j + k for *_, j, k in grades)
+    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + len(log_a[0]))) for r in rates))
+    grids = []  # per row: S and (knot, direction, cap, doublings, cap widths)
+    for row, end in zip(log_a, S):
+        knots = sorted({0.0, *(k for k in row if k < end)})
+        # a gap between knots is graded toward both its ends, the last one,
+        # up to S, toward its knot only; inner F grow at most like e^{G s}
+        sides = []  # (knot, direction, length, cap)
+        for lo, hi in zip(knots, knots[1:] + [None]):
+            G = sum(max(r + sum(k >= lo for k in row), 0.0) for r in rates[1:])
+            cap = 2.0 / G if G else math.inf
+            if hi is None:
+                sides.append((lo, 1.0, end - lo, cap))
+            else:
+                sides += [(lo, 1.0, (hi - lo) / 2, cap), (hi, -1.0, (hi - lo) / 2, cap)]
+        # widths h0, h0, 2 h0, 4 h0, ... away from the knot, at most the
+        # cap: j doublings, then k panels as wide as the cap
+        grids.append((end, [
+            (knot, sign, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
+             max(0, math.ceil(L / cap) - 1)) for knot, sign, L, cap in sides]))
+    panels = sum(1 + j + k for _, grades in grids for *_, j, k in grades)
     if panels > MAX_PANELS:
         raise DomainError(f"the integral needs about {panels:.3g} panels")
-    edges = {S}
-    for knot, sign, cap, j, k in grades:
-        offsets = [h0 * 2.0**i for i in range(j)] + [cap * i for i in range(1, k + 1)]
-        edges.update(knot + sign * w for w in [0.0] + offsets)
-    edges = np.array(sorted(edges))
-    half = (edges[1:, None] - edges[:-1, None]) / 2.0
-    x, W, C, rule = _panel_rule()
-    s = edges[:-1, None] + half * (1.0 + x)
-    d = np.array(log_a)[:, None, None] - s  # sum_k log(a_k^2 + e^{2s}) / 2 - n s:
+    edges = []
+    for end, grades in grids:
+        row = {end}
+        for knot, sign, cap, j, k in grades:
+            offsets = [h0 * 2.0**i for i in range(j)] + [cap * i for i in range(1, k + 1)]
+            row.update(knot + sign * w for w in [0.0] + offsets)
+        edges.append(sorted(row))
+    counts = [len(row) - 1 for row in edges]  # panels per row
+    width = max(counts) + 1
+    edges = np.array([row + row[-1:] * (width - len(row)) for row in edges])
+    half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
+    x, W, CW, rule = _panel_rule()
+
+    def panel_sums(h, M):
+        # h @ M with one BLAS call per row on its own panels, padding left 0:
+        # BLAS rounds a row differently with the matrix height, and a row's
+        # log L must not depend on the rest of the batch; a lone row is whole
+        if len(counts) == 1:
+            return np.dot(h[0], M)[None]
+        out = np.zeros(h.shape[:2] + M.shape[1:])
+        for row, count in enumerate(counts):
+            np.dot(h[row, :count], M, out=out[row, :count])
+        return out
+
+    s = edges[:, :-1, None] + half * (1.0 + x)
+    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, a sum of _log_hypot(log a_k - s)
+    d = np.array(log_a).T[:, :, None, None] - s
     log_hyp = (np.maximum(d, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * abs(d)))).sum(0)
     log_F = 0.0  # log(F_{i+1} / F_{i+1}(S)) at the nodes, 0 for i = p
-    levels = []  # log(F_i(S) / F_{i+1}(S)) per level, one column per rule
-    for i, r in reversed(list(enumerate(rates))):
-        lh = r * s - log_hyp + log_F
-        top = np.maximum.reduceat(lh, [0, 10], axis=1)
-        h = np.exp(lh - top[:, rule])
-        log_tot = np.log(h @ W * half) + top
-        if i == 0:
-            levels.append(np.logaddexp.reduce(log_tot, axis=0))
-            break
-        cum = np.logaddexp.accumulate(np.vstack((np.full(2, -np.inf), log_tot)))
-        with np.errstate(divide="ignore"):  # a node with F = 0 adds nothing
-            local = np.log(np.maximum(h @ C.T * half, 0.0)) + top[:, rule]
-        log_F = np.logaddexp(cum[:-1, rule], local) - cum[-1, rule]
-        levels.append(cum[-1])
-    log_10, log_20 = sum(levels)
-    # plus rounding: each level's log total x is good to about eps |x|
-    rounding = 8.0 * sys.float_info.epsilon * sum(1.0 + abs(v[1]) for v in levels)
-    error = abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding
-    return float(log_20), error, len(rates) * 30 * len(half)
+    levels = []  # log(F_i(S) / F_{i+1}(S)) per level and row, one column per rule
+    with np.errstate(divide="ignore"):  # log 0: zero-width panels, nodes with F = 0
+        for i, r in reversed(list(enumerate(rates))):
+            lh = r * s - log_hyp + log_F
+            top = np.maximum.reduceat(lh, [0, 10], axis=2)
+            top_n = top[..., rule]  # per node
+            h = np.exp(lh - top_n)
+            if i == 0:
+                log_tot = np.log(panel_sums(h, W) * half) + top
+                levels.append(np.logaddexp.reduce(log_tot, axis=1))
+                break
+            sums = panel_sums(h, CW) * half  # from each panel's left end to its nodes
+            log_tot = np.log(sums[..., 30:]) + top  # and to its right end
+            cum = np.logaddexp.accumulate(
+                np.concatenate((np.full((len(s), 1, 2), -np.inf), log_tot), axis=1),
+                axis=1)
+            local = np.log(np.maximum(sums[..., :30], 0.0)) + top_n
+            log_F = np.logaddexp(cum[:, :-1, rule], local) - cum[:, -1:, rule]
+            levels.append(cum[:, -1])
+    logs, errors = [], []
+    for row in zip(*np.array(levels).tolist()):  # per level: [log_10, log_20]
+        log_10, log_20 = sum(v[0] for v in row), sum(v[1] for v in row)
+        # plus rounding: each level's log total x is good to about eps |x|
+        rounding = 8.0 * sys.float_info.epsilon * sum(1.0 + abs(v[1]) for v in row)
+        logs.append(log_20)
+        errors.append(abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
+    return logs, errors, [len(rates) * 30 * count for count in counts]
 
 
 def _ray_logs(ray: RaySpec, lam: ExponentVector):
-    """The t-values of a ray and log L(a(t), lambda) at each, as arrays."""
+    """The t-values of a ray and log L(a(t), lambda) at each, as arrays: one
+    `_log_estimate` pass over log a(t) = t s, so e^{t s} may overflow."""
     if len(ray.t_values) < 3:
         raise DomainError("need at least 3 t_values")
     import numpy as np  # here, so that the exact layers never load it
-    ts = np.asarray(ray.t_values)
-    return ts, np.array([_log_estimate(ray.point(t), lam)[0] for t in ts])
+    log_a = [[t * s for s in ray.direction] for t in ray.t_values]
+    return np.asarray(ray.t_values), np.array(_log_estimate(log_a, lam)[0])
 
 
 def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -295,23 +296,29 @@ def test_verify_integral_below_double_range(capsys, tmax):
     assert out.endswith("verdict: pass\n")
 
 
+def test_verify_integral_ray_past_the_double_range(capsys):
+    # a = e^800 is no double; the ray is evaluated in log a
+    code, out, _ = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-1/2",
+        "--ray", "1", "--tmax", "800", "--samples", "6", "--delta", "0.05",
+        "--json",
+    )
+    assert code in (0, 1)
+    ratios = [float(r) for r in json.loads(out)["ratios"]]
+    assert len(ratios) == 6
+    assert all(math.isfinite(r) and r > 0.0 for r in ratios)
+
+
 def test_overflow_is_not_malformed_input(capsys):
-    # well-formed requests whose long rays overflow a float
-    for argv in (
-        ["--p", "1", "--n", "1", "--lambda", "-1/2", "--ray", "1",
-         "--tmax", "800", "--samples", "5"],
-        # the ratio to the bound is about e^-840 at t = 400: no verdict
-        # rests on a ratio of 0.0
-        ["--p", "2", "--n", "2", "--lambda", "-1,-1", "--ray", "1,1",
-         "--tmax", "400", "--samples", "3"],
-    ):
-        code, out, err = invoke(
-            capsys, "verify-integral", *argv, "--delta", "0.05",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: numerical overflow")
-        assert "malformed" not in err
+    # a well-formed request whose ratio to the bound is about e^-840 at
+    # t = 400: no verdict rests on a ratio of 0.0
+    argv = ["--p", "2", "--n", "2", "--lambda", "-1,-1", "--ray", "1,1",
+            "--tmax", "400", "--samples", "3"]
+    code, out, err = invoke(capsys, "verify-integral", *argv, "--delta", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: numerical overflow")
+    assert "malformed" not in err
 
 
 

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +15,7 @@ from quantind import (
     converges,
     evaluate,
     fit_decay,
+    twisted,
 )
 
 
@@ -322,6 +325,61 @@ def test_fit_decay_long_diagonal_below_double_range():
     # lambda = (-1, -2), n = 2 on the diagonal
     ray = RaySpec([1.0, 1.0], [100.0 + 75.0 * i for i in range(5)])
     assert fit_decay(ray, ev(-1, -2)) == pytest.approx(-4.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("direction,ts,slope", [
+    ([1.0], [400.0, 600.0, 800.0], -0.5),
+    ([2.0], [100.0, 200.0, 360.0], -1.0),
+])
+def test_fit_decay_past_the_double_range_of_a(direction, ts, slope):
+    # t s reaches 800 and 720: a(t) = e^{t s} is no double, but the ray is
+    # evaluated in log a, so the slope of log L ~ -t s / 2 comes out
+    assert fit_decay(RaySpec(direction, ts), ev(F(-1, 2))) == pytest.approx(
+        slope, abs=1e-3
+    )
+
+
+def test_ray_pass_equals_the_one_point_path():
+    # a ray runs all its points through one padded recursion; each log L
+    # must be bit for bit the one-point value at the same log a
+    rng = random.Random(2026)
+    for _ in range(100):
+        p, n = rng.randint(1, 4), rng.randint(1, 3)
+        lam = ev(*[n - 1 - F(rng.randint(2, 6), 2) for _ in range(p)])
+        direction = sorted(
+            (rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 2.0))) for _ in range(n)),
+            reverse=True,
+        )
+        direction[0] = max(direction[0], 0.25)
+        t_max = rng.choice((5.0, 50.0, 700.0)) / direction[0]
+        ts = sorted(rng.sample(range(1, 1000), rng.randint(3, 11)))
+        ray = RaySpec(direction, [t_max * t / 999 for t in ts])
+        logs = twisted._ray_logs(ray, lam)[1]
+        for t, log_value in zip(ray.t_values, logs):
+            one = twisted._log_estimate([[t * s for s in ray.direction]], lam)
+            assert one[0][0] == log_value
+
+
+def _panels_needed(call):
+    with pytest.raises(DomainError, match="panels") as info:
+        call()
+    return float(re.search(r"needs about (\S+) panels", str(info.value)).group(1))
+
+
+def test_grid_limit_counts_the_whole_ray(monkeypatch):
+    # every point of the ray fits under MAX_PANELS, their sum does not
+    ray = RaySpec([1.0], [2.0, 3.0, 4.0])
+    lam = ev(F(-1, 2))
+    monkeypatch.setattr(twisted, "MAX_PANELS", 0)
+    each = [_panels_needed(lambda t=t: evaluate(ray.point(t), lam))
+            for t in ray.t_values]
+    total = _panels_needed(lambda: fit_decay(ray, lam))
+    assert total == sum(each)
+    monkeypatch.setattr(twisted, "MAX_PANELS", int(max(each)))
+    for t in ray.t_values:
+        evaluate(ray.point(t), lam)
+    with pytest.raises(DomainError, match=r"the integral needs about \S+ panels"):
+        fit_decay(ray, lam)
 
 
 def test_fit_decay_diagonal_upper_bound():
