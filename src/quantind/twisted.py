@@ -21,7 +21,6 @@ rationals; evaluation is floating point.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -128,6 +127,8 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
         raise DomainError("a entries must be >= 1")
+    if not all(map(math.isfinite, a)):
+        raise DomainError("a entries must be finite")
     [log_value], [rel_error], [T], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
     value = math.exp(log_value)
     if not value >= sys.float_info.min:
@@ -137,27 +138,27 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     return IntegralEstimate(value, value * rel_error, T, nodes)
 
 
-def _log_hypot(d: float) -> float:
-    """log hypot(e^d, 1), for any real d."""
-    return max(d, 0.0) + 0.5 * math.log1p(math.exp(-2.0 * abs(d)))
+def _log_hypot(d, xp=math):
+    """log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2 for any real
+    d; elementwise with xp = numpy."""
+    e = abs(d)
+    return (d + e + xp.log1p(xp.exp(-2.0 * e))) / 2
 
 
 def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule and tail), T and the node count."""
-    if not all(math.isfinite(k) for row in log_a for k in row):
-        raise DomainError("a entries must be finite")
     p = len(lam)
-    shifted = [x - (len(log_a[0]) - 1) for x in lam]  # lambda - (n-1)*1, exact
-    margins = list(itertools.accumulate(shifted))
+    shifted = lam.shift(1 - len(log_a[0]))  # lambda - (n-1)*1
+    margins = shifted.prefix_sums()
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
     margins = [float(m) for m in margins]
     log_f0 = [max(margins[-1] * c - p * sum(_log_hypot(k - c) for k in row)
                   for c in [0.0, *row]) for row in log_a]
     Ts = [(math.log(p / TAIL_FRACTION) - f0) / min(map(abs, margins)) for f0 in log_f0]
-    logs, errors, nodes = _iterated(log_a, [*map(float, shifted)], [p * T for T in Ts])
+    logs, errors, nodes = _iterated(log_a, shifted.floats(), [p * T for T in Ts])
     # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
     # directions, relative to L
     errors = [e + sum(math.exp(m * T - v) for m in margins) / math.prod(map(abs, margins))
@@ -206,11 +207,12 @@ def _iterated(log_a, rates, S):
     knot lo the inner F grow at most like e^{G s}, with
     G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+; widths in that
     gap are capped at 2 / G, so that their values inside a panel, which the
-    next level reads, stay good to the q = 10 collocation order.  More than
-    MAX_PANELS panels over all rows are refused before any grid is built.
-    The rows share one recursion on a leading axis, each grid padded with
-    copies of its last edge: zero-width panels, which add exactly -inf.
-    log F_i is carried with logaddexp, so no level underflows.
+    next level reads, stay good to the q = 10 collocation order.  The rows
+    share one recursion on a leading axis, each grid padded to the widest
+    with copies of its last edge: zero-width panels, which add exactly
+    -inf.  More than MAX_PANELS panels, padding included, are refused before
+    any grid is built.  log F_i is carried with logaddexp, so no level
+    underflows.
     """
     import numpy as np
     h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + len(log_a[0]))) for r in rates))
@@ -232,7 +234,7 @@ def _iterated(log_a, rates, S):
         grids.append((end, [
             (knot, sign, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
              max(0, math.ceil(L / cap) - 1)) for knot, sign, L, cap in sides]))
-    panels = sum(1 + j + k for _, grades in grids for *_, j, k in grades)
+    panels = len(grids) * max(sum(1 + j + k for *_, j, k in g) for _, g in grids)
     if panels > MAX_PANELS:
         raise DomainError(f"the integral needs about {panels:.3g} panels")
     edges = []
@@ -243,26 +245,12 @@ def _iterated(log_a, rates, S):
             row.update(knot + sign * w for w in [0.0] + offsets)
         edges.append(sorted(row))
     counts = [len(row) - 1 for row in edges]  # panels per row
-    width = max(counts) + 1
-    edges = np.array([row + row[-1:] * (width - len(row)) for row in edges])
+    edges = np.array([row + row[-1:] * (max(counts) + 1 - len(row)) for row in edges])
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
     x, W, CW, rule = _panel_rule()
-
-    def panel_sums(h, M):
-        # h @ M with one BLAS call per row on its own panels, padding left 0:
-        # BLAS rounds a row differently with the matrix height, and a row's
-        # log L must not depend on the rest of the batch; a lone row is whole
-        if len(counts) == 1:
-            return np.dot(h[0], M)[None]
-        out = np.zeros(h.shape[:2] + M.shape[1:])
-        for row, count in enumerate(counts):
-            np.dot(h[row, :count], M, out=out[row, :count])
-        return out
-
     s = edges[:, :-1, None] + half * (1.0 + x)
-    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, a sum of _log_hypot(log a_k - s)
-    d = np.array(log_a).T[:, :, None, None] - s
-    log_hyp = (np.maximum(d, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * abs(d)))).sum(0)
+    # sum_k log(a_k^2 + e^{2s}) / 2 - n s
+    log_hyp = _log_hypot(np.array(log_a).T[:, :, None, None] - s, np).sum(0)
     log_F = 0.0  # log(F_{i+1} / F_{i+1}(S)) at the nodes, 0 for i = p
     levels = []  # log(F_i(S) / F_{i+1}(S)) per level and row, one column per rule
     with np.errstate(divide="ignore"):  # log 0: zero-width panels, nodes with F = 0
@@ -271,15 +259,20 @@ def _iterated(log_a, rates, S):
             top = np.maximum.reduceat(lh, [0, 10], axis=2)
             top_n = top[..., rule]  # per node
             h = np.exp(lh - top_n)
+            # h @ [C^T W] (the outermost level: W) by one BLAS call per row on
+            # its own panels, padding left 0: BLAS rounds a row differently
+            # with the matrix height
+            M = W if i == 0 else CW
+            sums = np.zeros(h.shape[:2] + M.shape[1:])
+            for row, count in enumerate(counts):
+                np.dot(h[row, :count], M, out=sums[row, :count])
+            sums *= half  # from each panel's left end to its nodes
+            log_tot = np.log(sums[..., -2:]) + top  # and to its right end
             if i == 0:
-                log_tot = np.log(panel_sums(h, W) * half) + top
                 levels.append(np.logaddexp.reduce(log_tot, axis=1))
                 break
-            sums = panel_sums(h, CW) * half  # from each panel's left end to its nodes
-            log_tot = np.log(sums[..., 30:]) + top  # and to its right end
-            cum = np.logaddexp.accumulate(
-                np.concatenate((np.full((len(s), 1, 2), -np.inf), log_tot), axis=1),
-                axis=1)
+            start = np.full((len(s), 1, 2), -np.inf)  # F_i(0) = 0
+            cum = np.logaddexp.accumulate(np.concatenate((start, log_tot), 1), axis=1)
             local = np.log(np.maximum(sums[..., :30], 0.0)) + top_n
             log_F = np.logaddexp(cum[:, :-1, rule], local) - cum[:, -1:, rule]
             levels.append(cum[:, -1])
@@ -300,6 +293,8 @@ def _ray_logs(ray: RaySpec, lam: ExponentVector):
         raise DomainError("need at least 3 t_values")
     import numpy as np  # here, so that the exact layers never load it
     log_a = [[t * s for s in ray.direction] for t in ray.t_values]
+    if not all(math.isfinite(k) for row in log_a for k in row):
+        raise DomainError("t * s overflows")
     return np.asarray(ray.t_values), np.array(_log_estimate(log_a, lam)[0])
 
 

@@ -8,6 +8,7 @@ ties.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -23,7 +24,7 @@ def as_fraction(x: RationalLike) -> Fraction:
     """Coerce to an exact rational, rejecting floats outright."""
     if isinstance(x, bool) or isinstance(x, float):
         raise DomainError(f"exact rational required, got {x!r}")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class ExponentVector:
@@ -77,12 +78,7 @@ class ExponentVector:
         return ExponentVector(a + c for a in self.entries)
 
     def prefix_sums(self) -> tuple[Fraction, ...]:
-        out = []
-        acc = Fraction(0)
-        for a in self.entries:
-            acc += a
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.entries))
 
     def floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.entries)
