@@ -9,6 +9,7 @@ is modelled.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -76,6 +77,13 @@ def oscillator_coefficient(
     return math.exp(log_out)
 
 
+@functools.cache
+def _hermite_rule(order: int):
+    """Gauss-Hermite nodes and weights for the weight exp(-u^2/2)."""
+    from numpy.polynomial.hermite_e import hermegauss  # so that quantind loads no numpy
+    return hermegauss(order)
+
+
 def oscillator_coefficient_quadrature(
     a: Sequence[float], alpha: Sequence[int], beta: Sequence[int]
 ) -> float:
@@ -85,17 +93,16 @@ def oscillator_coefficient_quadrature(
     exp(-(a_i^2+1) x^2 / 2); with x = u / s_i, s_i = (1 + a_i^2)^{1/2}, the
     weight is exp(-u^2/2) and the rest a polynomial of degree
     alpha_i + beta_i in u, which Gauss-Hermite with
-    floor((alpha_i+beta_i)/2) + 1 nodes integrates exactly.  The moment is
-    summed from the nodes, independently of `gaussian_moment`.
+    floor((alpha_i+beta_i)/2) + 1 nodes integrates exactly; each order's
+    rule is computed once (`_hermite_rule`).  The moment is summed from the
+    nodes, independently of `gaussian_moment`.
     """
-    # imported here so that importing quantind loads no numpy
-    from numpy.polynomial.hermite_e import hermegauss
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
     beta = _check_index(beta, len(a), "beta")
     out = 1.0
     for ai, al, be in zip(a, alpha, beta):
-        u, w = hermegauss((al + be) // 2 + 1)
+        u, w = _hermite_rule((al + be) // 2 + 1)
         s = math.hypot(1.0, ai)
         x = u / s
         out *= float(w @ ((ai * x) ** al * x**be)) * math.sqrt(ai) / s

@@ -20,8 +20,11 @@ rationals; evaluation is floating point.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -138,32 +141,34 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     return IntegralEstimate(value, value * rel_error, T, nodes)
 
 
-def _log_hypot(d, xp=math):
-    """log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2 for any real
-    d; elementwise with xp = numpy."""
-    e = abs(d)
-    return (d + e + xp.log1p(xp.exp(-2.0 * e))) / 2
-
-
 def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
-    log L, its relative error (rule and tail), T and the node count."""
-    p = len(lam)
-    shifted = lam.shift(1 - len(log_a[0]))  # lambda - (n-1)*1
-    margins = shifted.prefix_sums()
+    log L, its relative error (rule and tail), T and the node count.  The
+    lambda side is set up once per call, log f(t0) and T per row in `math`."""
+    p, n = len(lam), len(log_a[0])
+    rates = [x + (1 - n) for x in lam.entries]  # lambda - (n-1)*1
+    margins = list(itertools.accumulate(rates))
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
-    margins = [float(m) for m in margins]
-    log_f0 = [max(margins[-1] * c - p * sum(_log_hypot(k - c) for k in row)
-                  for c in [0.0, *row]) for row in log_a]
-    Ts = [(math.log(p / TAIL_FRACTION) - f0) / min(map(abs, margins)) for f0 in log_f0]
-    logs, errors, nodes = _iterated(log_a, shifted.floats(), [p * T for T in Ts])
+    rates, margins = [float(r) for r in rates], [float(m) for m in margins]
+    slope, norm = min(map(abs, margins)), math.prod(map(abs, margins))
+    # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
+    log_f0 = [max([margins[-1] * c - p * _lsum([(k - c + abs(k - c) + math.log1p(
+        math.exp(-2.0 * abs(k - c)))) / 2 for k in row]) for c in {0.0, *row}])
+        for row in log_a]
+    Ts = [(math.log(p / TAIL_FRACTION) - f0) / slope for f0 in log_f0]
+    logs, errors, nodes = _iterated(log_a, rates, [p * T for T in Ts])
     # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
     # directions, relative to L
-    errors = [e + sum(math.exp(m * T - v) for m in margins) / math.prod(map(abs, margins))
+    errors = [e + _lsum(math.exp(m * T - v) for m in margins) / norm
               for v, e, T in zip(logs, errors, Ts)]
     return logs, errors, Ts, nodes
+
+
+def _lsum(terms):
+    """Float sum left to right on every Python (3.12's `sum` compensates)."""
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 @functools.cache
@@ -211,46 +216,54 @@ def _iterated(log_a, rates, S):
     share one recursion on a leading axis, each grid padded to the widest
     with copies of its last edge: zero-width panels, which add exactly
     -inf.  More than MAX_PANELS panels, padding included, are refused before
-    any grid is built.  log F_i is carried with logaddexp, so no level
-    underflows.
+    any grid is built, and so is an S where doubles lie more than h0 apart.
+    log F_i is carried with logaddexp, so no level underflows.  The grid is
+    set up in Python, h0, the caps and the offsets h0 2^i once per call.
     """
     import numpy as np
-    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + len(log_a[0]))) for r in rates))
-    grids = []  # per row: S and (knot, direction, cap, doublings, cap widths)
+    n = len(log_a[0])
+    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))
+    if not math.ulp(max(S)) <= h0:
+        raise DomainError(f"log a is too large: panels {h0:.3g} wide are not resolved")
+    # caps[c]: the width cap above a knot with c of the log a_k at or past it
+    caps = [2.0 / G if G else math.inf for G in
+            (_lsum(max(r + c, 0.0) for r in rates[1:]) for c in range(n + 1))]
+    grids = []  # per row: S and its gaps (lo, hi, cap, doublings, cap widths)
     for row, end in zip(log_a, S):
-        knots = sorted({0.0, *(k for k in row if k < end)})
+        row = sorted(row)
+        knots = [k for k in sorted({0.0, *row}) if k < end]
         # a gap between knots is graded toward both its ends, the last one,
-        # up to S, toward its knot only; inner F grow at most like e^{G s}
-        sides = []  # (knot, direction, length, cap)
+        # up to S (hi = None), toward its knot only: widths h0, h0, 2 h0, ...
+        # away from the knot, at most the cap: j doublings, then k cap widths
+        gaps = []
         for lo, hi in zip(knots, knots[1:] + [None]):
-            G = sum(max(r + sum(k >= lo for k in row), 0.0) for r in rates[1:])
-            cap = 2.0 / G if G else math.inf
-            if hi is None:
-                sides.append((lo, 1.0, end - lo, cap))
-            else:
-                sides += [(lo, 1.0, (hi - lo) / 2, cap), (hi, -1.0, (hi - lo) / 2, cap)]
-        # widths h0, h0, 2 h0, 4 h0, ... away from the knot, at most the
-        # cap: j doublings, then k panels as wide as the cap
-        grids.append((end, [
-            (knot, sign, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
-             max(0, math.ceil(L / cap) - 1)) for knot, sign, L, cap in sides]))
-    panels = len(grids) * max(sum(1 + j + k for *_, j, k in g) for _, g in grids)
+            L = end - lo if hi is None else (hi - lo) / 2
+            cap = caps[n - bisect.bisect_left(row, lo)]
+            gaps.append((lo, hi, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
+                         max(0, math.ceil(L / cap) - 1)))
+        grids.append((end, gaps))
+    panels = len(grids) * max(sum((1 + j + k) * (1 if hi is None else 2)
+                                  for _, hi, _, j, k in gaps) for _, gaps in grids)
     if panels > MAX_PANELS:
         raise DomainError(f"the integral needs about {panels:.3g} panels")
+    doublings = [h0 * 2.0**i for i in range(max(g[3] for _, gaps in grids for g in gaps))]
     edges = []
-    for end, grades in grids:
-        row = {end}
-        for knot, sign, cap, j, k in grades:
-            offsets = [h0 * 2.0**i for i in range(j)] + [cap * i for i in range(1, k + 1)]
-            row.update(knot + sign * w for w in [0.0] + offsets)
-        edges.append(sorted(row))
+    for end, gaps in grids:
+        row = [end]
+        for lo, hi, cap, j, k in gaps:
+            offsets = [0.0, *doublings[:j]]
+            offsets += [cap * i for i in range(1, k + 1)] if k else []
+            row += [lo + w for w in offsets] + [hi - w for w in offsets if hi is not None]
+        edges.append(sorted(set(row)))
     counts = [len(row) - 1 for row in edges]  # panels per row
     edges = np.array([row + row[-1:] * (max(counts) + 1 - len(row)) for row in edges])
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
     x, W, CW, rule = _panel_rule()
     s = edges[:, :-1, None] + half * (1.0 + x)
-    # sum_k log(a_k^2 + e^{2s}) / 2 - n s
-    log_hyp = _log_hypot(np.array(log_a).T[:, :, None, None] - s, np).sum(0)
+    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, as log hypot(e^d, 1) in d = log a_k - s
+    d = np.array(log_a).T[:, :, None, None] - s
+    e = abs(d)
+    log_hyp = ((d + e + np.log1p(np.exp(-2.0 * e))) / 2).sum(0)
     log_F = 0.0  # log(F_{i+1} / F_{i+1}(S)) at the nodes, 0 for i = p
     levels = []  # log(F_i(S) / F_{i+1}(S)) per level and row, one column per rule
     with np.errstate(divide="ignore"):  # log 0: zero-width panels, nodes with F = 0
@@ -278,9 +291,9 @@ def _iterated(log_a, rates, S):
             levels.append(cum[:, -1])
     logs, errors = [], []
     for row in zip(*np.array(levels).tolist()):  # per level: [log_10, log_20]
-        log_10, log_20 = sum(v[0] for v in row), sum(v[1] for v in row)
+        log_10, log_20 = _lsum(v[0] for v in row), _lsum(v[1] for v in row)
         # plus rounding: each level's log total x is good to about eps |x|
-        rounding = 8.0 * sys.float_info.epsilon * sum(1.0 + abs(v[1]) for v in row)
+        rounding = 8.0 * sys.float_info.epsilon * _lsum(1.0 + abs(v[1]) for v in row)
         logs.append(log_20)
         errors.append(abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
     return logs, errors, [len(rates) * 30 * count for count in counts]
@@ -337,8 +350,7 @@ def check_gr2(
     if not rays:
         raise DomainError("need at least one ray")
     import numpy as np  # here, so that the exact layers never load it
-    result = lpn(lam, p, n)
-    mu_bound = result.output
+    mu_bound = lpn(lam, p, n).output
     rate_coeffs = mu_bound.floats()
     checks: list[RayCheck] = []
     for ray in rays:
@@ -354,13 +366,5 @@ def check_gr2(
         ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
         if min(ratios) < sys.float_info.min:
             raise OverflowError("a ratio is below the normal double range")
-        checks.append(
-            RayCheck(
-                direction=ray.direction,
-                max_ratio=max(ratios),
-                trend_slope=trend,
-                bounded=trend <= 1e-3,
-                ratios=ratios,
-            )
-        )
+        checks.append(RayCheck(ray.direction, max(ratios), trend, trend <= 1e-3, ratios))
     return Gr2Report(lam=lam, mu_bound=mu_bound, delta=delta, rays=checks)

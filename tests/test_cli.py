@@ -322,6 +322,17 @@ def test_overflow_is_not_malformed_input(capsys):
 
 
 
+def test_verify_integral_ray_past_the_grid_resolution(capsys):
+    # t s reaches 3e307: a plain domain error, not a numerical overflow
+    code, out, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-1/2",
+        "--ray", "1e300", "--tmax", "3e7", "--samples", "3", "--delta", "0.05",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: log a is too large") and "overflow" not in err
+
+
 VERIFY_ARGS = ["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
                "--samples", "5", "--delta", "0.05"]
 

@@ -72,6 +72,20 @@ def test_quadrature_agreement_high_order():
     assert closed == pytest.approx(quad, rel=1e-8)
 
 
+@pytest.mark.parametrize("a,alpha,beta,pinned", [
+    ([0.5, 2.0], [0, 1], [0, 1], "0x1.015bf92172718p+0"),  # orders 1, 2
+    ([3.0, 1.5], [2, 3], [2, 3], "0x1.dca494bb472bdp-1"),  # orders 3, 4
+    ([7.0, 0.2], [4, 5], [4, 5], "0x1.52b1e6351f651p-7"),  # orders 5, 6
+])
+def test_quadrature_matches_its_pinned_values(a, alpha, beta, pinned):
+    # the values before the Gauss-Hermite rule was cached per order; the
+    # rule's eigensolver and the dot product may round 1 ulp apart per CPU
+    pinned = float.fromhex(pinned)
+    got = oscillator_coefficient_quadrature(a, alpha, beta)
+    assert abs(got - pinned) <= 4 * math.ulp(pinned)
+    assert oscillator_coefficient_quadrature(a, alpha, beta) == got
+
+
 def test_huge_torus_entry_does_not_overflow():
     # a^2 overflows a double here; the values are far inside its range
     a = 1e200

@@ -386,6 +386,86 @@ def test_grid_limit_counts_the_whole_ray(monkeypatch):
         fit_decay(ray, lam)
 
 
+# log L, T and the node count of `_log_estimate` before its set-up was
+# rewritten, as float.hex: p = 1-5, n = 1-3, repeated and zero log a_k, a
+# knot beyond S (30 > S = 16.9), t s > 709, the near-divergent
+# lambda = (-10^-6, -2), and (1 - 10^-6, -1/2) at n = 2, whose first gaps
+# cap the panel width (G > 0).  T and the node count come from `math` and
+# the grid alone, so they match bit for bit.  log L also passes through
+# BLAS, whose kernels (chosen per CPU) round the panel sums up to 2 ulps
+# apart; it must match to 8 ulps.
+_L = math.log
+PINNED_LOG_ESTIMATES = [
+    ([[3.0]], ["-1/2"],
+     ["-0x1.4548917453c0ap-2"], ["0x1.691e0ff27e8a0p+5"], [300]),
+    ([[2.0, 0.5]], ["0"],
+     ["-0x1.269e930de77d0p+0"], ["0x1.718191b66e9b6p+4"], [240]),
+    ([[1.0, 1.0, 1.0]], ["1"],
+     ["-0x1.103f2d55ce523p+0"], ["0x1.6c353171fba6fp+4"], [240]),
+    ([[800.0], [1200.0]], ["-1/2"],
+     ["-0x1.8eb080ea08845p+8", "-0x1.2b58407504423p+9"],
+     ["0x1.a511e0ff27e8ap+9", "0x1.3688f07f93f45p+10"], [780, 840]),
+    ([[30.0]], ["-3"],
+     ["-0x1.eb17217f7d1d0p+4"], ["0x1.0e862a663ffe8p+4"], [210]),
+    ([[_L(2.0)]], ["-1/1000000", "-2"],
+     ["0x1.94844e6f47d43p+3"], ["0x1.5f58baee1093fp+24"], [1740]),
+    ([[2.5]], ["-1", "-2"],
+     ["-0x1.0d60775012626p+2"], ["0x1.a6c5223fdf5e2p+4"], [780]),
+    ([[3.0, 3.0]], ["-1", "-2"],
+     ["-0x1.694d02ff816a8p+3"], ["0x1.0b5ef44ac9c6ap+4"], [900]),
+    ([[4.0, 0.0]], ["-1", "-1"],
+     ["-0x1.1f96b9d04608ap+3"], ["0x1.e1c221e4b0a5fp+3"], [720]),
+    ([[400.0, 400.0], [800.0, 800.0]], ["-1", "-2"],
+     ["-0x1.8e80b4db2c5cfp+10", "-0x1.8f2a21e839d24p+11"],
+     ["0x1.955aa682c8f46p+9", "0x1.92ad5341647a3p+10"], [2040, 2220]),
+    ([[5.0, 2.0, 0.0]], ["0", "-1"],
+     ["-0x1.b60a6dd92067cp+3"], ["0x1.2105a4b04a0ecp+4"], [1200]),
+    ([[3.0, 1.0]], ["999999/1000000", "-1/2"],
+     ["0x1.5e8f8b5df6e98p+3"], ["0x1.964e8120407ebp+24"], [1920]),
+    ([[_L(3.0)]], ["-2", "-2", "-3"],
+     ["-0x1.925c26f7211e8p+2"], ["0x1.94697ee08cfddp+3"], [990]),
+    ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3"],
+     ["-0x1.3261558cada4ep+3"], ["0x1.aa672f9535a62p+2"], [990]),
+    ([[_L(3.0), _L(2.0), _L(1.5)]], ["-2", "-2", "-3"],
+     ["-0x1.7878895e60810p+3"], ["0x1.d75389d78e9fbp+2"], [1350]),
+    ([[1.0, 1.0]], ["-1", "-1/2", "-1/2"],
+     ["-0x1.c0954adbc1eb0p+2"], ["0x1.c33e1aacff099p+3"], [2160]),
+    ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3", "-3"],
+     ["-0x1.b1c19abd6a8fcp+3"], ["0x1.c8c1ca11706a4p+2"], [1320]),
+    ([[2.0, 2.0, 0.0]], ["0", "0", "-1", "-1"],
+     ["-0x1.1ea7b89c041e9p+4"], ["0x1.3c8c31c0b4d56p+4"], [1680]),
+    ([[2.5]], ["-2", "-5/2", "-2", "-3", "-2"],
+     ["-0x1.28d986dd2b878p+4"], ["0x1.16cbc286619b6p+4"], [2100]),
+    ([[_L(2.5), _L(1.5)]], ["-5/2"] * 5,
+     ["-0x1.0c53b5676416ap+4"], ["0x1.1467cadd04a1dp+3"], [1650]),
+]
+
+
+@pytest.mark.parametrize("log_a,lam,logs,Ts,nodes", PINNED_LOG_ESTIMATES)
+def test_log_estimate_matches_its_pinned_values(log_a, lam, logs, Ts, nodes):
+    got_logs, _, got_Ts, got_nodes = twisted._log_estimate(log_a, ExponentVector(lam))
+    assert [T.hex() for T in got_Ts] == Ts and got_nodes == nodes
+    for got, pinned in zip(got_logs, map(float.fromhex, logs)):
+        assert abs(got - pinned) <= 8 * math.ulp(pinned)
+
+
+@pytest.mark.parametrize("direction,ts", [
+    ([1e300], [1e7, 2e7, 3e7]),
+    ([1.0], [1e300, 2e300, 3e300]),
+    ([1.0], [1e16, 2e16, 3e16]),
+])
+def test_ray_past_the_grid_resolution_is_refused(direction, ts):
+    # near s = t s neighbouring doubles lie further apart than the
+    # narrowest panel, h0 = 1: the grid would lose its knots
+    with pytest.raises(DomainError, match="not resolved"):
+        fit_decay(RaySpec(direction, ts), ev(F(-1, 2)))
+
+
+def test_ray_just_inside_the_grid_resolution():
+    ray = RaySpec([1.0], [1e15, 2e15, 3e15])
+    assert fit_decay(ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_fit_decay_diagonal_upper_bound():
     # mu = (2,1) so the diagonal decay must be at least (mu_1+mu_2)(1-delta)
     ray = RaySpec([1.0, 1.0], np.linspace(1.0, 4.0, 7))
