@@ -13,11 +13,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import induction, oscillator, transfer, twisted
-from .induction import _fmt_vec
-from .lpn import lpn as _lpn, lpn_oracle as _lpn_oracle
 from .vectors import (
     DomainError,
     ExponentVector,
@@ -25,10 +22,15 @@ from .vectors import (
     Orthogonal,
     Partition,
     Symplectic,
+    _fmt_vec,
     rho,
     strictly_dominated,
     weakly_dominated,
 )
+
+# each subcommand imports its own layer, so a cold process loads only those
+if TYPE_CHECKING:
+    from . import induction
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -75,6 +77,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _load_chain(path: str) -> induction.DualPairChain:
+    from . import induction
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -135,8 +138,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_lpn(args) -> int:
+    from .lpn import lpn, lpn_oracle
     lam = ExponentVector(_parse_csv(args.lam))
-    result = _lpn(lam, args.p, args.n)
+    result = lpn(lam, args.p, args.n)
     print(_fmt_vec(result.output))
     if args.witness:
         w = result.witness
@@ -145,7 +149,7 @@ def _cmd_lpn(args) -> int:
         for row in w.eta:
             print("eta: " + _fmt_vec(row))
     if args.oracle:
-        oracle = _lpn_oracle(lam, args.p, args.n)
+        oracle = lpn_oracle(lam, args.p, args.n)
         match = oracle == result.output
         print(f"oracle: {_fmt_vec(oracle)} "
               f"({'match' if match else 'MISMATCH'})")
@@ -155,6 +159,7 @@ def _cmd_lpn(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import transfer
     lam = ExponentVector(_parse_csv(args.lam))
     if args.dir == "o2sp":
         out = transfer.bound_O_to_Sp(args.p, args.q, args.n, lam)
@@ -165,6 +170,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_range(args) -> int:
+    from . import induction
     lam = ExponentVector(_parse_csv(args.lam))
     if (args.test, args.dir) not in induction.RANGE_TESTS:
         raise DomainError("odd range test applies to the o2sp direction")
@@ -177,6 +183,7 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from . import induction
     chain = _load_chain(args.file)
     rep = induction.validate_chain(chain)
     if args.json:
@@ -192,6 +199,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_infchar(args) -> int:
+    from . import induction
     chain = _load_chain(args.file)
     chi = InfChar(_parse_csv(args.chi))
     for src, dst in zip(chain.groups, chain.groups[1:]):
@@ -204,6 +212,7 @@ def _cmd_infchar(args) -> int:
 
 
 def _cmd_av(args) -> int:
+    from . import induction
     chain = _load_chain(args.file)
     if len(chain.groups) < 3:
         raise DomainError("associated-variety prediction needs a 3-group chain")
@@ -219,6 +228,7 @@ def _cmd_av(args) -> int:
 
 
 def _cmd_oscillator(args) -> int:
+    from . import oscillator
     a = _parse_float_csv(args.a)
     alpha = [int(x) for x in args.alpha.split(",")]
     beta = [int(x) for x in args.beta.split(",")]
@@ -236,12 +246,15 @@ def _cmd_oscillator(args) -> int:
 
 
 def _cmd_verify_integral(args) -> int:
+    from . import twisted
     lam = ExponentVector(_parse_csv(args.lam))
     direction = _parse_float_csv(args.ray)
     if not 1.0 < args.tmax < float("inf"):
         raise DomainError("tmax must be finite and exceed 1")
     if args.samples < 3:
         raise DomainError("need at least 3 samples")
+    if args.samples > twisted.MAX_PANELS:  # a panel per point at least
+        raise DomainError(f"at most {twisted.MAX_PANELS} samples")
     if not twisted.converges(lam, args.p, args.n):
         raise DomainError(
             "integral diverges: some prefix sum of lambda - (n-1)*1 is nonnegative"

@@ -25,6 +25,7 @@ from .vectors import (
     Orthogonal,
     Partition,
     Symplectic,
+    _fmt_vec,
     rho_shift,
     strictly_dominated,
     transpose,
@@ -446,7 +447,3 @@ def predict_associated_variety(
         raise DomainError("sizes incompatible with conjecture shape")
     ft = Partition([x for x in seq if x > 0])
     return AVPrediction(partition=transpose(ft))
-
-
-def _fmt_vec(entries) -> str:
-    return "(" + ",".join(str(Fraction(e)) for e in entries) + ")"

@@ -77,11 +77,60 @@ def oscillator_coefficient(
     return math.exp(log_out)
 
 
+def _normed_hermite(u: float, n: int) -> float:
+    """He_n(u) / (n! sqrt(2 pi))^{1/2} by the recurrence, in the order of
+    numpy's `_normed_hermite_e_n`."""
+    c0, c1 = 0.0, 1 / math.sqrt(math.sqrt(2 * math.pi))
+    if n == 0:
+        return c1
+    for nd in range(n, 1, -1):
+        c0, c1 = -c1 * math.sqrt((nd - 1) / nd), c0 + c1 * u * math.sqrt(1 / nd)
+    return c0 + c1 * u
+
+
+def _newton_step(u: float, n: int) -> float:
+    return _normed_hermite(u, n) / (_normed_hermite(u, n - 1) * math.sqrt(n))
+
+
 @functools.cache
-def _hermite_rule(order: int):
-    """Gauss-Hermite nodes and weights for the weight exp(-u^2/2)."""
-    from numpy.polynomial.hermite_e import hermegauss  # so that quantind loads no numpy
-    return hermegauss(order)
+def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Hermite nodes and weights for the weight exp(-u^2/2), built as
+    numpy's `hermegauss` builds them, in plain Python.
+
+    Each positive root of He_n, largest first, is bracketed by a scan down
+    from sqrt(4n + 2), above every root, in steps 1 / sqrt(n), under a third
+    of the least gap between roots; Newton on the orthonormal recurrence,
+    bisecting wherever it would leave the bracket, converges to it.  Then
+    come hermegauss's finishing steps in its order: one more Newton step,
+    weights 1 / fm^2 with fm the degree n - 1 values over their largest, and
+    the rescaling to sum sqrt(2 pi).  The negative roots mirror the positive
+    ones exactly, and the recurrence is exactly odd or even in u, so
+    hermegauss's symmetrisation would change nothing.
+    """
+    n, roots = order, []
+    hi, gap = math.sqrt(4 * n + 2), 1 / math.sqrt(n)
+    for _ in range(n // 2):
+        lo = hi - gap
+        while _normed_hermite(lo, n) * _normed_hermite(hi, n) > 0:
+            lo, hi = lo - gap, lo
+        below = _normed_hermite(lo, n)  # nonzero, of He_n's sign below the root
+        u = (lo + hi) / 2
+        for _ in range(100):
+            lo, hi = (u, hi) if _normed_hermite(u, n) * below > 0 else (lo, u)
+            new = u - _newton_step(u, n)
+            new = new if lo <= new <= hi else (lo + hi) / 2
+            if abs(new - u) <= 1e-15 * u:
+                break
+            u = new
+        roots.append(new)
+        hi = lo
+    roots = [u - _newton_step(u, n) for u in reversed(roots)]
+    nodes = [-u for u in reversed(roots)] + [0.0] * (n % 2) + roots
+    fm = [_normed_hermite(u, n - 1) for u in nodes]
+    top = max(map(abs, fm))
+    w = [1 / ((f / top) * (f / top)) for f in fm]
+    scale = math.sqrt(2 * math.pi) / math.fsum(w)
+    return tuple(nodes), tuple(x * scale for x in w)
 
 
 def oscillator_coefficient_quadrature(
@@ -95,7 +144,7 @@ def oscillator_coefficient_quadrature(
     alpha_i + beta_i in u, which Gauss-Hermite with
     floor((alpha_i+beta_i)/2) + 1 nodes integrates exactly; each order's
     rule is computed once (`_hermite_rule`).  The moment is summed from the
-    nodes, independently of `gaussian_moment`.
+    nodes with `math.fsum`, independently of `gaussian_moment`.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
@@ -104,8 +153,8 @@ def oscillator_coefficient_quadrature(
     for ai, al, be in zip(a, alpha, beta):
         u, w = _hermite_rule((al + be) // 2 + 1)
         s = math.hypot(1.0, ai)
-        x = u / s
-        out *= float(w @ ((ai * x) ** al * x**be)) * math.sqrt(ai) / s
+        terms = (wk * ((ai * x) ** al * x**be) for wk, x in zip(w, (uk / s for uk in u)))
+        out *= math.fsum(terms) * math.sqrt(ai) / s
     return out
 
 

@@ -146,6 +146,8 @@ def _log_estimate(log_a, lam: ExponentVector):
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule and tail), T and the node count.  The
     lambda side is set up once per call, log f(t0) and T per row in `math`."""
+    if len(log_a) > MAX_PANELS:  # a panel per row at least: refused before any row
+        raise DomainError(f"{len(log_a)} points need more than {MAX_PANELS} panels")
     p, n = len(lam), len(log_a[0])
     rates = [x + (1 - n) for x in lam.entries]  # lambda - (n-1)*1
     margins = list(itertools.accumulate(rates))
@@ -169,6 +171,12 @@ def _log_estimate(log_a, lam: ExponentVector):
 def _lsum(terms):
     """Float sum left to right on every Python (3.12's `sum` compensates)."""
     return functools.reduce(operator.add, terms, 0.0)
+
+
+def _slope(x, y):
+    """The least-squares slope of y on x, in closed form about the means."""
+    xm, ym = _lsum(x) / len(x), _lsum(y) / len(y)
+    return _lsum((u - xm) * (v - ym) for u, v in zip(x, y)) / _lsum((u - xm) ** 2 for u in x)
 
 
 @functools.cache
@@ -349,7 +357,6 @@ def check_gr2(
         raise DomainError("delta must be in (0, 1)")
     if not rays:
         raise DomainError("need at least one ray")
-    import numpy as np  # here, so that the exact layers never load it
     mu_bound = lpn(lam, p, n).output
     rate_coeffs = mu_bound.floats()
     checks: list[RayCheck] = []
@@ -362,7 +369,7 @@ def check_gr2(
         # trend of the tail half, at least three points: the surrogate asks
         # for eventual non-increase, and the pre-asymptotic rise is harmless
         k = max(3, len(ts) // 2)
-        trend = float(np.polyfit(ts[-k:], log_ratios[-k:], 1)[0])
+        trend = _slope(ts[-k:].tolist(), log_ratios[-k:].tolist())
         ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
         if min(ratios) < sys.float_info.min:
             raise OverflowError("a ratio is below the normal double range")

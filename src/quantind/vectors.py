@@ -279,3 +279,7 @@ class InfChar:
 
     def __repr__(self) -> str:
         return f"InfChar({list(map(str, self.values))})"
+
+
+def _fmt_vec(entries) -> str:
+    return "(" + ",".join(str(Fraction(e)) for e in entries) + ")"

@@ -333,6 +333,25 @@ def test_verify_integral_ray_past_the_grid_resolution(capsys):
     assert err.startswith("error: log a is too large") and "overflow" not in err
 
 
+def test_verify_integral_refuses_more_samples_than_panels(capsys, monkeypatch):
+    # every sample needs a panel at least: refused before the t-values, the
+    # ray or any row is built, so the refusal costs nothing per sample
+    from quantind import twisted
+
+    def unreachable(*args):
+        raise AssertionError("the ray was built")
+
+    monkeypatch.setattr(twisted, "MAX_PANELS", 4)
+    monkeypatch.setattr(twisted, "RaySpec", unreachable)
+    code, out, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
+        "--ray", "1", "--tmax", "4", "--samples", "5", "--delta", "0.05",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: at most 4 samples\n"
+
+
 VERIFY_ARGS = ["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
                "--samples", "5", "--delta", "0.05"]
 
@@ -355,45 +374,54 @@ def test_non_finite_floats_are_malformed(capsys, argv):
 
 IMPORT_HYGIENE_SCRIPT = """
 import json, sys
-chain = sys.argv[1]
-import quantind, quantind.cli
-from quantind.cli import run
+import quantind.cli
 
-def numerics():
-    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+def loaded():
+    return {"layers": sorted(m.split(".")[1] for m in sys.modules
+                             if m.startswith("quantind.") and m != "quantind.cli"),
+            "numerics": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}
 
-seen = {"import": numerics()}
-exact = {
-    "rho": ["rho", "--group", "Sp:3"],
-    "order": ["order", "--rel", "weak", "--x", "0,-1"],
-    "lpn": ["lpn", "--p", "2", "--n", "2", "--lambda", "-1,-2", "--oracle"],
-    "bound": ["bound", "--dir", "o2sp", "--p", "2", "--q", "3", "--n", "4",
-              "--lambda", "-7/2,-5/2"],
-    "range": ["range", "--test", "ss", "--dir", "o2sp", "--p", "2", "--q",
-              "3", "--n", "3", "--lambda", "-1,-1"],
-    "chain": ["chain", "--file", chain, "--json"],
-    "infchar": ["infchar", "--file", chain, "--chi", "1/2"],
-    "av": ["av", "--file", chain, "--d", "1"],
-    "oscillator": ["oscillator", "--a", "1,1", "--alpha", "0,0",
-                   "--beta", "0,0"],
-}
-codes = {}
-for name, argv in exact.items():
-    codes[name] = run(argv)
-    seen[name] = numerics()
-codes["quadrature"] = run(["oscillator", "--a", "1,1", "--alpha", "0,0",
-                           "--beta", "0,0", "--check-quadrature"])
-seen["quadrature"] = numerics()
-codes["verify-integral"] = run(["verify-integral", "--p", "1", "--n", "1",
-                                "--lambda", "-2", "--ray", "1", "--tmax", "4",
-                                "--samples", "5", "--delta", "0.05", "--json"])
-seen["numerical"] = numerics()
-print(json.dumps({"codes": codes, "seen": seen}))
+argv = json.loads(sys.argv[1])
+before = loaded()
+code = quantind.cli.run(argv) if argv else 0
+print(json.dumps({"import": before, "run": loaded(), "code": code}))
 """
+
+EXACT = ["lpn", "vectors"]
+INDUCTION = ["induction", "lpn", "transfer", "vectors"]
+
+
+def hygiene_runs(chain):
+    """Each subcommand's argv and the quantind layers it may load."""
+    return {
+        "import": ([], EXACT),
+        "rho": (["rho", "--group", "Sp:3"], EXACT),
+        "order": (["order", "--rel", "weak", "--x", "0,-1"], EXACT),
+        "lpn": (["lpn", "--p", "2", "--n", "2", "--lambda", "-1,-2", "--oracle"],
+                EXACT),
+        "bound": (["bound", "--dir", "o2sp", "--p", "2", "--q", "3", "--n", "4",
+                   "--lambda", "-7/2,-5/2"], ["lpn", "transfer", "vectors"]),
+        "range": (["range", "--test", "ss", "--dir", "o2sp", "--p", "2", "--q",
+                   "3", "--n", "3", "--lambda", "-1,-1"], INDUCTION),
+        "chain": (["chain", "--file", chain, "--json"], INDUCTION),
+        "infchar": (["infchar", "--file", chain, "--chi", "1/2"], INDUCTION),
+        "av": (["av", "--file", chain, "--d", "1"], INDUCTION),
+        "oscillator": (["oscillator", "--a", "1,1", "--alpha", "0,0",
+                        "--beta", "0,0"], ["lpn", "oscillator", "vectors"]),
+        "quadrature": (["oscillator", "--a", "1.5,2", "--alpha", "1,2",
+                        "--beta", "1,2", "--check-quadrature"],
+                       ["lpn", "oscillator", "vectors"]),
+        "verify-integral": (["verify-integral", "--p", "1", "--n", "1",
+                             "--lambda", "-2", "--ray", "1", "--tmax", "4",
+                             "--samples", "5", "--delta", "0.05", "--json"],
+                            ["lpn", "twisted", "vectors"]),
+    }
 
 
 def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
-    # a fresh interpreter: this one has numpy and scipy loaded already
+    # each subcommand in a fresh interpreter (this one has numpy and scipy
+    # loaded already): it loads only its own layers, and only
+    # verify-integral loads twisted and numpy
     import quantind
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(quantind.__file__)))
@@ -401,14 +429,13 @@ def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_HYGIENE_SCRIPT, chain_file(GOOD_CHAIN)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
-    )
-    doc = json.loads(proc.stdout.splitlines()[-1])
-    assert all(code == 0 for code in doc["codes"].values()), doc["codes"]
-    numerics = doc["seen"].pop("numerical")
-    assert numerics == ["numpy"]
-    assert doc["seen"].pop("quadrature") == ["numpy"]
-    for step, loaded in doc["seen"].items():
-        assert loaded == [], f"{step} loaded {loaded}"
+    for step, (argv, layers) in hygiene_runs(chain_file(GOOD_CHAIN)).items():
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_HYGIENE_SCRIPT, json.dumps(argv)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        )
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc["code"] == 0, (step, proc.stderr)
+        assert doc["import"] == {"layers": EXACT, "numerics": []}, step
+        numerics = ["numpy"] if step == "verify-integral" else []
+        assert doc["run"] == {"layers": layers, "numerics": numerics}, step

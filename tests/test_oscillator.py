@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from quantind import (
     oscillator_coefficient,
     oscillator_coefficient_quadrature,
 )
+from quantind.oscillator import _hermite_rule
 
 
 def test_gaussian_moments():
@@ -72,18 +75,67 @@ def test_quadrature_agreement_high_order():
     assert closed == pytest.approx(quad, rel=1e-8)
 
 
-@pytest.mark.parametrize("a,alpha,beta,pinned", [
+PINNED = [
     ([0.5, 2.0], [0, 1], [0, 1], "0x1.015bf92172718p+0"),  # orders 1, 2
-    ([3.0, 1.5], [2, 3], [2, 3], "0x1.dca494bb472bdp-1"),  # orders 3, 4
-    ([7.0, 0.2], [4, 5], [4, 5], "0x1.52b1e6351f651p-7"),  # orders 5, 6
-])
+    ([3.0, 1.5], [2, 3], [2, 3], "0x1.dca494bb472c6p-1"),  # orders 3, 4
+    ([7.0, 0.2], [4, 5], [4, 5], "0x1.52b1e6351f657p-7"),  # orders 5, 6
+]
+
+
+@pytest.mark.parametrize("a,alpha,beta,pinned", PINNED)
 def test_quadrature_matches_its_pinned_values(a, alpha, beta, pinned):
-    # the values before the Gauss-Hermite rule was cached per order; the
-    # rule's eigensolver and the dot product may round 1 ulp apart per CPU
+    # the values of the plain-Python Gauss-Hermite rule; libm's pow may
+    # round 1 ulp apart per platform
     pinned = float.fromhex(pinned)
     got = oscillator_coefficient_quadrature(a, alpha, beta)
     assert abs(got - pinned) <= 4 * math.ulp(pinned)
     assert oscillator_coefficient_quadrature(a, alpha, beta) == got
+
+
+# pi to 64 digits, for a reference that shares no code with quantind
+PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def closed_form_60_digits(a, alpha, beta):
+    """prod (m-1)!! sqrt(2 pi) a^{alpha + 1/2} (1 + a^2)^{-(m+1)/2}, m = alpha + beta,
+    in 60-digit decimal arithmetic on the exact binary value of each a."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        out = Decimal(1)
+        for ai, al, be in zip(a, alpha, beta):
+            x, m = Decimal(ai), al + be
+            out *= (math.prod(range(m - 1, 0, -2)) * (2 * PI).sqrt() * x**al * x.sqrt()
+                    / (1 + x * x).sqrt() ** (m + 1))
+        return out
+
+
+@pytest.mark.parametrize("a,alpha,beta,pinned", PINNED)
+def test_pinned_values_lie_near_a_60_digit_closed_form(a, alpha, beta, pinned):
+    # numpy's rule put the three pins 1.8, 21.8 and 13.2 ulps from it; the
+    # plain-Python rule puts them 1.8, 12.8 and 7.2 ulps from it
+    pinned = float.fromhex(pinned)
+    ref = closed_form_60_digits(a, alpha, beta)
+    assert abs(Decimal(pinned) - ref) <= 24 * Decimal(math.ulp(pinned))
+
+
+@pytest.mark.parametrize("order", range(1, 65))
+def test_hermite_rule_matches_hermegauss(order):
+    # numpy's rule stays the reference here; the library no longer loads it
+    from numpy.polynomial.hermite_e import hermegauss
+
+    u, w = _hermite_rule(order)
+    ref_u, ref_w = hermegauss(order)
+    eps = sys.float_info.epsilon
+    assert len(u) == len(w) == order
+    for x, ref in zip(u, ref_u):
+        assert abs(x - ref) <= 4 * math.ulp(max(1.0, abs(ref)))
+    for x, ref in zip(w, ref_w):
+        assert abs(x - ref) <= 16 * order * eps * ref
+    # exact for every even moment of degree up to 2 order - 1
+    for j in range(order):
+        exact = math.prod(range(2 * j - 1, 0, -2)) * math.sqrt(2 * math.pi)
+        got = math.fsum(wk * x ** (2 * j) for x, wk in zip(u, w))
+        assert abs(got - exact) <= 4 * (2 * j + 1) * eps * exact
 
 
 def test_huge_torus_entry_does_not_overflow():

@@ -371,10 +371,11 @@ def _panels_needed(call):
 
 def test_grid_limit_counts_the_whole_ray(monkeypatch):
     # every point of the ray fits under MAX_PANELS, the ray does not: its
-    # rows are padded to the widest, so it counts points x widest grid
+    # rows are padded to the widest, so it counts points x widest grid.  A
+    # limit of one panel per point reads each count (fewer is refused first)
     ray = RaySpec([1.0], [2.0, 3.0, 4.0])
     lam = ev(F(-1, 2))
-    monkeypatch.setattr(twisted, "MAX_PANELS", 0)
+    monkeypatch.setattr(twisted, "MAX_PANELS", len(ray.t_values))
     each = [_panels_needed(lambda t=t: evaluate(ray.point(t), lam))
             for t in ray.t_values]
     total = _panels_needed(lambda: fit_decay(ray, lam))
@@ -384,6 +385,20 @@ def test_grid_limit_counts_the_whole_ray(monkeypatch):
         evaluate(ray.point(t), lam)
     with pytest.raises(DomainError, match=r"the integral needs about \S+ panels"):
         fit_decay(ray, lam)
+
+
+def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
+    # every point needs a panel at least, so such a ray is refused before
+    # log f(t0) or a grid is worked out for any of its points
+    def unreachable(*args):
+        raise AssertionError("the rows were set up")
+
+    monkeypatch.setattr(twisted, "MAX_PANELS", 4)
+    monkeypatch.setattr(twisted, "_iterated", unreachable)
+    monkeypatch.setattr(twisted, "_lsum", unreachable)
+    ray = RaySpec([1.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(DomainError, match="5 points need more than 4 panels"):
+        fit_decay(ray, ev(-2))
 
 
 # log L, T and the node count of `_log_estimate` before its set-up was
