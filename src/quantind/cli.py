@@ -10,7 +10,6 @@ output carries an explicit error estimate and uses 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -77,6 +76,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _load_chain(path: str) -> induction.DualPairChain:
+    import json
     from . import induction
     try:
         with open(path) as fh:
@@ -117,6 +117,7 @@ def _report_doc(rep: induction.ValidationReport) -> dict:
 
 
 def _emit_json(doc: dict) -> None:
+    import json
     print(json.dumps(doc, indent=2))
 
 
@@ -216,7 +217,7 @@ def _cmd_av(args) -> int:
     chain = _load_chain(args.file)
     if len(chain.groups) < 3:
         raise DomainError("associated-variety prediction needs a 3-group chain")
-    d = Partition(int(x) for x in _parse_csv(args.d))
+    d = Partition(_parse_csv(args.d))
     g0, g1, g2 = chain.groups[:3]
     if chain.start_kind == "O":
         sizes = (g0.p, g0.q, g1.n, g2.p, g2.q)

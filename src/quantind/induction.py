@@ -12,9 +12,8 @@ and flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import transfer
 from .vectors import (
@@ -26,6 +25,7 @@ from .vectors import (
     Partition,
     Symplectic,
     _fmt_vec,
+    _record,
     rho_shift,
     strictly_dominated,
     transpose,
@@ -33,8 +33,7 @@ from .vectors import (
 )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     id: str
     inequality: str
     lhs: str
@@ -42,10 +41,12 @@ class StepRecord:
     ok: bool
 
 
-@dataclass
-class ValidationReport:
-    steps: list[StepRecord] = field(default_factory=list)
-    bounds: list[ExponentVector] = field(default_factory=list)
+class ValidationReport(_record("ValidationReport", "steps bounds")):
+    __slots__ = ()
+
+    def __new__(cls, steps: list[StepRecord] | None = None, bounds: list | None = None):
+        return tuple.__new__(cls, ([] if steps is None else steps,
+                                   [] if bounds is None else bounds))
 
     @property
     def verdict(self) -> bool:
@@ -55,27 +56,25 @@ class ValidationReport:
         self.steps.append(StepRecord(id, inequality, str(lhs), str(rhs), ok))
 
 
-@dataclass(frozen=True)
-class DualPairChain:
+class DualPairChain(_record("DualPairChain", "start_kind groups initial_lambda")):
     """Alternating O/Sp descriptors with an initial exponent bound."""
 
-    start_kind: str  # "O" or "Sp"
-    groups: tuple[GroupDescriptor, ...]
-    initial_lambda: ExponentVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start_kind not in ("O", "Sp"):
+    def __new__(cls, start_kind: str,  # "O" or "Sp"
+                groups: tuple[GroupDescriptor, ...], initial_lambda: ExponentVector):
+        if start_kind not in ("O", "Sp"):
             raise DomainError("start_kind must be 'O' or 'Sp'")
-        if len(self.groups) < 2:
+        if len(groups) < 2:
             raise DomainError("chain needs at least two groups")
-        want_orth = self.start_kind == "O"
-        for g in self.groups:
+        want_orth = start_kind == "O"
+        for g in groups:
             if want_orth != isinstance(g, Orthogonal):
                 raise DomainError("chain kinds must strictly alternate")
             want_orth = not want_orth
-        first = self.groups[0]
-        if len(self.initial_lambda) != first.rank:
+        if len(initial_lambda) != groups[0].rank:
             raise DomainError("initial_lambda must match the rank of the first group")
+        return tuple.__new__(cls, (start_kind, groups, initial_lambda))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +415,7 @@ def parabolic_infchar_match(kind: str, sizes: Sequence[int], chi: InfChar) -> bo
 # associated varieties (conjectural)
 
 
-@dataclass(frozen=True)
-class AVPrediction:
+class AVPrediction(NamedTuple):
     partition: Partition
     conjectural: bool = True
 

@@ -15,17 +15,16 @@ is the validation oracle for small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .vectors import DomainError, ExponentVector
 
 ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
 
-@dataclass(frozen=True)
-class BreakpointSequence:
+class BreakpointSequence(NamedTuple):
     """Indices 1 <= j_1 < ... < j_m = p with strictly increasing budgets.
 
     budgets[s] is the cumulative cap -sum(lambda[:j_s]) active at j_s.
@@ -35,8 +34,7 @@ class BreakpointSequence:
     budgets: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class EtaAssignment:
+class EtaAssignment(NamedTuple):
     """The greedy block totals and row sums witnessing an L(p,n) value."""
 
     mu: tuple[Fraction, ...]
@@ -65,8 +63,7 @@ class EtaAssignment:
         return tuple(tuple(row) for row in eta)
 
 
-@dataclass(frozen=True)
-class LpnResult:
+class LpnResult(NamedTuple):
     mu: ExponentVector
     output: ExponentVector
     witness: EtaAssignment

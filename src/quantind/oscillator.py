@@ -128,7 +128,10 @@ def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     nodes = [-u for u in reversed(roots)] + [0.0] * (n % 2) + roots
     fm = [_normed_hermite(u, n - 1) for u in nodes]
     top = max(map(abs, fm))
-    w = [1 / ((f / top) * (f / top)) for f in fm]
+    w = [(f / top) * (f / top) for f in fm]
+    if not min(w):  # (fm / top)^2 underflows from order 390 on
+        raise OverflowError(f"Gauss-Hermite weights of order {n} exceed the double range")
+    w = [1 / x for x in w]
     scale = math.sqrt(2 * math.pi) / math.fsum(w)
     return tuple(nodes), tuple(x * scale for x in w)
 

@@ -26,24 +26,21 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lpn import lpn
-from .vectors import DomainError, ExponentVector, strictly_dominated
+from .vectors import DomainError, ExponentVector, _record, strictly_dominated
 
 TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
 
 
-@dataclass(frozen=True)
-class RaySpec:
+class RaySpec(_record("RaySpec", "direction t_values")):
     """A probe path a(t) = (e^{t s_1}, ..., e^{t s_n}) inside the positive chamber."""
 
-    direction: tuple[float, ...]
-    t_values: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, direction: Sequence[float], t_values: Sequence[float]):
+    def __new__(cls, direction: Sequence[float], t_values: Sequence[float]):
         d = tuple(float(x) for x in direction)
         t = tuple(float(x) for x in t_values)
         if not all(map(math.isfinite, d + t)):
@@ -56,15 +53,13 @@ class RaySpec:
             t[i] >= t[i + 1] for i in range(len(t) - 1)
         ):
             raise DomainError("t_values must be nonnegative and increasing")
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "t_values", t)
+        return tuple.__new__(cls, (d, t))
 
     def point(self, t: float) -> tuple[float, ...]:
         return tuple(math.exp(t * s) for s in self.direction)
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+class IntegralEstimate(NamedTuple):
     """The value of L(a, lambda) and its error figure.
 
     value: always a positive normal double; where L lies below that range
@@ -84,17 +79,15 @@ class IntegralEstimate:
     node_count: int
 
 
-@dataclass
-class RayCheck:
+class RayCheck(NamedTuple):
     direction: tuple[float, ...]
     max_ratio: float
     trend_slope: float
     bounded: bool
-    ratios: tuple[float, ...] = field(default_factory=tuple)
+    ratios: tuple[float, ...] = ()
 
 
-@dataclass
-class Gr2Report:
+class Gr2Report(NamedTuple):
     lam: ExponentVector
     mu_bound: ExponentVector  # L(p,n)(lambda), a nonpositive vector
     delta: float
@@ -146,8 +139,6 @@ def _log_estimate(log_a, lam: ExponentVector):
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule and tail), T and the node count.  The
     lambda side is set up once per call, log f(t0) and T per row in `math`."""
-    if len(log_a) > MAX_PANELS:  # a panel per row at least: refused before any row
-        raise DomainError(f"{len(log_a)} points need more than {MAX_PANELS} panels")
     p, n = len(lam), len(log_a[0])
     rates = [x + (1 - n) for x in lam.entries]  # lambda - (n-1)*1
     margins = list(itertools.accumulate(rates))
@@ -312,6 +303,8 @@ def _ray_logs(ray: RaySpec, lam: ExponentVector):
     `_log_estimate` pass over log a(t) = t s, so e^{t s} may overflow."""
     if len(ray.t_values) < 3:
         raise DomainError("need at least 3 t_values")
+    if len(ray.t_values) > MAX_PANELS:  # a panel per point at least: refused first
+        raise DomainError(f"{len(ray.t_values)} points need more than {MAX_PANELS} panels")
     import numpy as np  # here, so that the exact layers never load it
     log_a = [[t * s for s in ray.direction] for t in ray.t_values]
     if not all(math.isfinite(k) for row in log_a for k in row):

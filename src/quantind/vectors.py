@@ -9,9 +9,10 @@ ties.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -25,6 +26,24 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise DomainError(f"exact rational required, got {x!r}")
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _size(x) -> int:
+    """An exact integer size: an int or an integral Fraction, never a bool."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = x.numerator
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise DomainError(f"size must be an integer, got {x!r}")
+    return operator.index(x)
+
+
+def _record(name: str, fields: str):
+    """A namedtuple base whose `_make` and `_replace` run the subclass's checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class ExponentVector:
@@ -101,18 +120,18 @@ def constant_vector(c: RationalLike, dim: int) -> ExponentVector:
     return ExponentVector([c] * dim)
 
 
-@dataclass(frozen=True)
-class Orthogonal:
+class Orthogonal(_record("Orthogonal", "p q")):
     """O(p, q) with the convention p <= q throughout."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __new__(cls, p: int, q: int):
+        p, q = _size(p), _size(q)
+        if p < 0 or q < 0:
             raise DomainError("p, q must be nonnegative")
-        if self.p > self.q:
-            raise DomainError(f"O(p,q) requires p <= q, got p={self.p}, q={self.q}")
+        if p > q:
+            raise DomainError(f"O(p,q) requires p <= q, got p={p}, q={q}")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def rank(self) -> int:
@@ -122,15 +141,16 @@ class Orthogonal:
         return f"O({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class Symplectic:
+class Symplectic(_record("Symplectic", "n")):
     """Sp(2n, R)."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int):
+        n = _size(n)
+        if n < 1:
             raise DomainError("Sp(2n) requires n >= 1")
+        return tuple.__new__(cls, (n,))
 
     @property
     def rank(self) -> int:
@@ -172,8 +192,7 @@ def rho_shift(
     return ExponentVector(x - c + k * r for x, r in zip(lam, rho(g)))
 
 
-@dataclass(frozen=True)
-class CoverInfo:
+class CoverInfo(NamedTuple):
     """Double-cover metadata of one member of an orthogonal-symplectic pair."""
 
     splits: bool
@@ -208,19 +227,18 @@ def cover_info(
     raise DomainError(f"side must be 'O' or 'Sp', got {side!r}")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_record("Partition", "parts")):
     """Non-increasing sequence of positive integers (a Young diagram)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(x) for x in parts)
+    def __new__(cls, parts: Iterable[int] = ()):
+        ps = tuple(map(_size, parts))
         if any(x <= 0 for x in ps):
             raise DomainError("partition parts must be positive")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
             raise DomainError("partition parts must be non-increasing")
-        object.__setattr__(self, "parts", ps)
+        return tuple.__new__(cls, (ps,))
 
     @property
     def size(self) -> int:

@@ -232,6 +232,14 @@ def test_av(capsys, chain_file):
     assert out.strip() == "(3,1,1) [conjectural]"
 
 
+@pytest.mark.parametrize("d", ["3/2", "2,0"])
+def test_av_rejects_a_part_that_is_not_a_positive_integer(capsys, chain_file, d):
+    # 3/2 is refused, not truncated to 1
+    code, out, err = invoke(capsys, "av", "--file", chain_file(GOOD_CHAIN), "--d", d)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_oscillator(capsys):
     code, out, _ = invoke(
         capsys, "oscillator", "--a", "1,1", "--alpha", "0,0", "--beta", "0,0",
@@ -379,7 +387,8 @@ import quantind.cli
 def loaded():
     return {"layers": sorted(m.split(".")[1] for m in sys.modules
                              if m.startswith("quantind.") and m != "quantind.cli"),
-            "numerics": sorted(m for m in ("numpy", "scipy") if m in sys.modules)}
+            "numerics": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
+            "dataclasses": "dataclasses" in sys.modules}
 
 argv = json.loads(sys.argv[1])
 before = loaded()
@@ -421,7 +430,7 @@ def hygiene_runs(chain):
 def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
     # each subcommand in a fresh interpreter (this one has numpy and scipy
     # loaded already): it loads only its own layers, and only
-    # verify-integral loads twisted and numpy
+    # verify-integral loads twisted and numpy; no step loads dataclasses
     import quantind
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(quantind.__file__)))
@@ -436,6 +445,8 @@ def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
         )
         doc = json.loads(proc.stdout.splitlines()[-1])
         assert doc["code"] == 0, (step, proc.stderr)
-        assert doc["import"] == {"layers": EXACT, "numerics": []}, step
+        assert doc["import"] == {"layers": EXACT, "numerics": [],
+                                 "dataclasses": False}, step
         numerics = ["numpy"] if step == "verify-integral" else []
-        assert doc["run"] == {"layers": layers, "numerics": numerics}, step
+        assert doc["run"] == {"layers": layers, "numerics": numerics,
+                              "dataclasses": False}, step

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -210,7 +209,7 @@ def test_witness_revalidates(lam, n):
     assert check_assignment(lam, result.witness)
     # mu is stored next to the block totals, so it must agree with eta
     mu = result.witness.mu
-    tampered = replace(result.witness, mu=(mu[0] + 1,) + mu[1:])
+    tampered = result.witness._replace(mu=(mu[0] + 1,) + mu[1:])
     assert not check_assignment(lam, tampered)
 
 

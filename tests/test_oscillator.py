@@ -138,6 +138,17 @@ def test_hermite_rule_matches_hermegauss(order):
         assert abs(got - exact) <= 4 * (2 * j + 1) * eps * exact
 
 
+@pytest.mark.parametrize("alpha", [400, 710])
+def test_hermite_weights_past_the_double_range_overflow(alpha):
+    # from order 390 on, (fm / max)^2 underflows to 0 for the outermost
+    # nodes: an OverflowError, as for the orders whose sums overflow, not a
+    # ZeroDivisionError
+    with pytest.raises(OverflowError):
+        _hermite_rule(alpha + 1)
+    with pytest.raises(OverflowError):
+        oscillator_coefficient_quadrature([2.0], [alpha], [alpha])
+
+
 def test_huge_torus_entry_does_not_overflow():
     # a^2 overflows a double here; the values are far inside its range
     a = 1e200

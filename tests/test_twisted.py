@@ -401,6 +401,17 @@ def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
         fit_decay(ray, ev(-2))
 
 
+def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
+    # the count is checked before t * s is formed: this ray would overflow
+    monkeypatch.setattr(twisted, "MAX_PANELS", 4)
+    ray = RaySpec([1e300], [1e10 * k for k in range(1, 6)])
+    with pytest.raises(DomainError, match="5 points need more than 4 panels"):
+        fit_decay(ray, ev("-1/2"))
+    monkeypatch.setattr(twisted, "MAX_PANELS", 5)
+    with pytest.raises(DomainError, match="t \\* s overflows"):
+        fit_decay(ray, ev("-1/2"))
+
+
 # log L, T and the node count of `_log_estimate` before its set-up was
 # rewritten, as float.hex: p = 1-5, n = 1-3, repeated and zero log a_k, a
 # knot beyond S (30 > S = 16.9), t s > 709, the near-divergent

@@ -80,6 +80,42 @@ def test_orthogonal_rejects_p_gt_q():
         Symplectic(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, F(5, 2), "2"])
+def test_sizes_must_be_exact_integers(bad):
+    # a size is never truncated: O(2.5,3) and Partition((2.5, 1)) are refused
+    with pytest.raises(DomainError, match="size must be an integer"):
+        Orthogonal(bad, 3)
+    with pytest.raises(DomainError, match="size must be an integer"):
+        Orthogonal(1, bad)
+    with pytest.raises(DomainError, match="size must be an integer"):
+        Symplectic(bad)
+    with pytest.raises(DomainError, match="size must be an integer"):
+        Partition([3, bad, 1])
+    # an integral Fraction is an exact integer, stored as an int
+    assert Orthogonal(F(2), F(3)) == Orthogonal(2, 3)
+    assert type(Symplectic(F(4)).n) is int and str(Symplectic(F(4))) == "Sp(8)"
+    assert Partition([F(3), 2]).parts == (3, 2)
+
+
+def test_records_are_named_tuples():
+    g = Orthogonal(2, 3)
+    assert repr(g) == "Orthogonal(p=2, q=3)" and g == (2, 3) and hash(g) == hash((2, 3))
+    p, q = g
+    assert (p, q) == (2, 3)
+    with pytest.raises(AttributeError):
+        g.p = 1
+    with pytest.raises(AttributeError):
+        g.rank_cache = 2  # no per-instance dict
+    # _replace runs the same checks as the constructor
+    assert g._replace(q=5) == Orthogonal(2, 5)
+    with pytest.raises(DomainError, match="p <= q"):
+        g._replace(p=4)
+    d = Partition([3, 2, 2])
+    assert len(d) == 3 and d._replace(parts=(4, 1)) == Partition([4, 1])
+    with pytest.raises(DomainError, match="non-increasing"):
+        d._replace(parts=(1, 2))
+
+
 def test_constant_vector():
     assert constant_vector(3, 2) == ExponentVector([3, 3])
     assert constant_vector(F(5, 2), 3) == ExponentVector([F(5, 2)] * 3)
