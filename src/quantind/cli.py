@@ -83,14 +83,18 @@ def _load_chain(path: str) -> induction.DualPairChain:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read chain file: {exc}") from exc
+
+    def size(v):  # a JSON number reaches the exact size check as it is
+        return int(v) if isinstance(v, str) else v
+
     try:
         start = doc["start"]
         groups = []
         for g in doc["groups"]:
             if g["kind"] == "O":
-                groups.append(Orthogonal(int(g["p"]), int(g["q"])))
+                groups.append(Orthogonal(size(g["p"]), size(g["q"])))
             elif g["kind"] == "Sp":
-                groups.append(Symplectic(int(g["n"])))
+                groups.append(Symplectic(size(g["n"])))
             else:
                 raise DomainError(f"unknown group kind {g['kind']!r}")
         lam = ExponentVector(_parse_rational(str(t)) for t in doc["lambda"])

@@ -140,11 +140,12 @@ def _log_estimate(log_a, lam: ExponentVector):
     log L, its relative error (rule and tail), T and the node count.  The
     lambda side is set up once per call, log f(t0) and T per row in `math`."""
     p, n = len(lam), len(log_a[0])
-    rates = [x + (1 - n) for x in lam.entries]  # lambda - (n-1)*1
+    D = math.lcm(*(x.denominator for x in lam.entries))  # ints: D (lambda - (n-1)*1)
+    rates = [x.numerator * (D // x.denominator) + (1 - n) * D for x in lam.entries]
     margins = list(itertools.accumulate(rates))
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
-    rates, margins = [float(r) for r in rates], [float(m) for m in margins]
+    rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
     slope, norm = min(map(abs, margins)), math.prod(map(abs, margins))
     # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
     log_f0 = [max([margins[-1] * c - p * _lsum([(k - c + abs(k - c) + math.log1p(
@@ -173,7 +174,7 @@ def _slope(x, y):
 @functools.cache
 def _panel_rule():
     """The q = 10 and q = 20 Gauss-Legendre rules on [-1, 1] side by side:
-    30 nodes x, a weight matrix W with one column per rule, [C^T W] with
+    30 nodes as 1 + x, a weight matrix W with one column per rule, [C^T W] with
     the block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
     basis l_k, and the rule (column of W) of each node."""
     import numpy as np
@@ -185,7 +186,7 @@ def _panel_rule():
         coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
         coef *= W[block, rule]
         C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
-    return x, W, np.hstack((C.T, W)), np.repeat([0, 1], [10, 20])
+    return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1], [10, 20])
 
 
 def _iterated(log_a, rates, S):
@@ -207,8 +208,8 @@ def _iterated(log_a, rates, S):
     in q (Trefethen, SIAM Review 2008; Babuska-Guo, Comput. Mech. 1986) with
     O(log S) panels per knot.  The error figure is |I_20 - I_10| / I_20 plus
     the rounding of the per-level log totals; both rules run on the same
-    nodes in one pass, each scaled by its own per-panel maximum.  Above a
-    knot lo the inner F grow at most like e^{G s}, with
+    nodes in one pass, scaled by one maximum per panel.  Above a knot lo
+    the inner F grow at most like e^{G s}, with
     G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+; widths in that
     gap are capped at 2 / G, so that their values inside a panel, which the
     next level reads, stay good to the q = 10 collocation order.  The rows
@@ -216,8 +217,10 @@ def _iterated(log_a, rates, S):
     with copies of its last edge: zero-width panels, which add exactly
     -inf.  More than MAX_PANELS panels, padding included, are refused before
     any grid is built, and so is an S where doubles lie more than h0 apart.
-    log F_i is carried with logaddexp, so no level underflows.  The grid is
-    set up in Python, h0, the caps and the offsets h0 2^i once per call.
+    log F_i is carried with logaddexp, so no level underflows, and so is the
+    node log hypot(e^d, 1) = logaddexp(2d, 0) / 2; log f(t0) and T stay in
+    `math`, where numpy's rounding cannot move T.  The grid is set up in
+    Python, h0, the caps and the offsets h0 2^i once per call.
     """
     import numpy as np
     n = len(log_a[0])
@@ -257,39 +260,37 @@ def _iterated(log_a, rates, S):
     counts = [len(row) - 1 for row in edges]  # panels per row
     edges = np.array([row + row[-1:] * (max(counts) + 1 - len(row)) for row in edges])
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
-    x, W, CW, rule = _panel_rule()
-    s = edges[:, :-1, None] + half * (1.0 + x)
-    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, as log hypot(e^d, 1) in d = log a_k - s
-    d = np.array(log_a).T[:, :, None, None] - s
-    e = abs(d)
-    log_hyp = ((d + e + np.log1p(np.exp(-2.0 * e))) / 2).sum(0)
-    log_F = 0.0  # log(F_{i+1} / F_{i+1}(S)) at the nodes, 0 for i = p
-    levels = []  # log(F_i(S) / F_{i+1}(S)) per level and row, one column per rule
+    x1, W, CW, rule = _panel_rule()
+    s = edges[:, :-1, None] + half * x1
+    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, as logaddexp(2d, 0) / 2 in d = log a_k - s
+    log_hyp = np.logaddexp(np.array(log_a).T[:, :, None, None] * 2 - (s + s), 0.0).sum(0) / 2
+    sums = np.zeros(s.shape[:2] + CW.shape[1:])  # padding left 0
+    cum = np.full((len(s), max(counts) + 1, 2), -np.inf)  # log F_i at panel ends, F_i(0) = 0
+    log_tot, levels = cum[:, 1:], []  # levels: log(F_i(S) / F_{i+1}(S)) per level and row
     with np.errstate(divide="ignore"):  # log 0: zero-width panels, nodes with F = 0
         for i, r in reversed(list(enumerate(rates))):
-            lh = r * s - log_hyp + log_F
-            top = np.maximum.reduceat(lh, [0, 10], axis=2)
-            top_n = top[..., rule]  # per node
-            h = np.exp(lh - top_n)
+            lh = r * s - log_hyp  # + log(F_{i+1} / F_{i+1}(S)) at the nodes
+            if levels:  # not the innermost level
+                lh += log_F
+            top = np.maximum.reduce(lh, axis=2, keepdims=True)
+            h = np.exp(np.subtract(lh, top, out=lh), out=lh)
             # h @ [C^T W] (the outermost level: W) by one BLAS call per row on
             # its own panels, padding left 0: BLAS rounds a row differently
             # with the matrix height
-            M = W if i == 0 else CW
-            sums = np.zeros(h.shape[:2] + M.shape[1:])
+            M, out = (CW, sums) if i else (W, np.zeros(s.shape[:2] + W.shape[1:]))
             for row, count in enumerate(counts):
-                np.dot(h[row, :count], M, out=sums[row, :count])
-            sums *= half  # from each panel's left end to its nodes
-            log_tot = np.log(sums[..., -2:]) + top  # and to its right end
+                np.dot(h[row, :count], M, out=out[row, :count])
+            out *= half  # from each panel's left end to its nodes
+            np.add(np.log(out[..., -2:], out=log_tot), top, out=log_tot)  # and to its right end
             if i == 0:
-                levels.append(np.logaddexp.reduce(log_tot, axis=1))
+                levels.append(np.logaddexp.reduce(log_tot, axis=1).tolist())
                 break
-            start = np.full((len(s), 1, 2), -np.inf)  # F_i(0) = 0
-            cum = np.logaddexp.accumulate(np.concatenate((start, log_tot), 1), axis=1)
-            local = np.log(np.maximum(sums[..., :30], 0.0)) + top_n
-            log_F = np.logaddexp(cum[:, :-1, rule], local) - cum[:, -1:, rule]
-            levels.append(cum[:, -1])
+            cum_n = np.logaddexp.accumulate(cum, axis=1, out=cum)[..., rule]
+            local = np.log(np.maximum(sums[..., :30], 0.0, out=h), out=h) + top
+            log_F = np.logaddexp(cum_n[:, :-1], local, out=local) - cum_n[:, -1:]
+            levels.append(cum[:, -1].tolist())
     logs, errors = [], []
-    for row in zip(*np.array(levels).tolist()):  # per level: [log_10, log_20]
+    for row in zip(*levels):  # per level: [log_10, log_20]
         log_10, log_20 = _lsum(v[0] for v in row), _lsum(v[1] for v in row)
         # plus rounding: each level's log total x is good to about eps |x|
         rounding = 8.0 * sys.float_info.epsilon * _lsum(1.0 + abs(v[1]) for v in row)

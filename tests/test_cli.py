@@ -215,6 +215,32 @@ def test_chain_rejects_decimal_lambda(capsys, chain_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["chain"], ["av", "--d", "1"]])
+@pytest.mark.parametrize("key,size", [
+    ("p", 2.5), ("p", 2.0), ("q", True), ("n", 3.5), ("n", False), ("p", "2.5"), ("n", None),
+])
+def test_chain_file_refuses_a_size_that_is_not_an_integer(
+    capsys, chain_file, command, key, size
+):
+    # 2.5 is refused, not truncated to 2; a float or a bool is no size either
+    groups = [dict(g) for g in GOOD_CHAIN["groups"]]
+    groups[0 if key in "pq" else 1][key] = size
+    path = chain_file(dict(GOOD_CHAIN, groups=groups))
+    code, out, err = invoke(capsys, command[0], "--file", path, *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed chain document")
+
+
+@pytest.mark.parametrize("command", [["chain"], ["av", "--d", "1"]])
+def test_chain_file_accepts_integer_strings(capsys, chain_file, command):
+    groups = [{k: str(v) if k != "kind" else v for k, v in g.items()}
+              for g in GOOD_CHAIN["groups"]]
+    runs = [invoke(capsys, command[0], "--file", chain_file(doc, name), *command[1:])
+            for doc, name in ((GOOD_CHAIN, "a.json"),
+                              (dict(GOOD_CHAIN, groups=groups), "b.json"))]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_infchar(capsys, chain_file):
     code, out, _ = invoke(
         capsys, "infchar", "--file", chain_file(GOOD_CHAIN), "--chi", "1/2"

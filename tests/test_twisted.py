@@ -464,6 +464,17 @@ PINNED_LOG_ESTIMATES = [
      ["-0x1.28d986dd2b878p+4"], ["0x1.16cbc286619b6p+4"], [2100]),
     ([[_L(2.5), _L(1.5)]], ["-5/2"] * 5,
      ["-0x1.0c53b5676416ap+4"], ["0x1.1467cadd04a1dp+3"], [1650]),
+    # non-dyadic and large-denominator lambda, pinned before the lambda side
+    # moved to ints over a common denominator
+    ([[2.0]], ["-1/3", "-2/7"],
+     ["0x1.8bbac8d12d2e0p-1"], ["0x1.182bff5c2715ep+6"], [3180]),
+    ([[_L(3.0)]], ["-1/1000000", "-5/3"],
+     ["0x1.94382ece5c588p+3"], ["0x1.69ec561c49c13p+24"], [1740]),
+    ([[1.5, 0.25]], ["5/7", "-13/11"],
+     ["-0x1.319eb2c0402d8p+0"], ["0x1.6246504b4459ep+6"], [840]),
+    ([[_L(2.0), 0.0], [40.0, 20.0]], ["-1/3", "-2/7", "-1000001/1000000"],
+     ["-0x1.196c1c8a47388p+2", "-0x1.267d7b702e81ap+7"],
+     ["0x1.2f4f1f2869be6p+4", "0x1.06dd25ba131dfp+7"], [810, 3330]),
 ]
 
 
@@ -473,6 +484,36 @@ def test_log_estimate_matches_its_pinned_values(log_a, lam, logs, Ts, nodes):
     assert [T.hex() for T in got_Ts] == Ts and got_nodes == nodes
     for got, pinned in zip(got_logs, map(float.fromhex, logs)):
         assert abs(got - pinned) <= 8 * math.ulp(pinned)
+
+
+@pytest.mark.parametrize("lam,n", [
+    (["-1/3", "1/3"], 1),  # margins -1/3, 0
+    (["-1/3", "-1/6", "1/2"], 1),  # margins -1/3, -1/2, 0 over D = 6
+    (["-1/1000000", "1/1000000"], 1),
+    (["1", "-3"], 2),  # rate 0 first
+    (["-2/7", "7/11", "204/77"], 2),  # margins -9/7, -127/77, 0
+])
+def test_margin_of_exactly_zero_diverges(lam, n):
+    lam = ExponentVector(lam)
+    assert not converges(lam, None, n)
+    with pytest.raises(DomainError, match="integral diverges"):
+        twisted._log_estimate([[1.0] * n], lam)
+    with pytest.raises(DomainError, match="integral diverges"):
+        evaluate([2.0] * n, lam)
+
+
+def test_node_log_hypot_is_finite_without_warnings():
+    # the rows put log a_k - s at the nodes through 0, +-40, +-800 and +-1e12,
+    # where e^{2 (log a_k - s)} overflows or underflows: log hypot must not,
+    # and may not warn (warnings are errors in this suite).  At p = 1,
+    # lambda = -2, L = (sqrt(a^2 + 1) - 1) / a^2 in closed form
+    rows = [[0.0], [40.0], [800.0], [1e12]]
+    logs, errors, _, _ = twisted._log_estimate(rows, ev(-2))
+    for (k,), got, err in zip(rows, logs, errors):
+        ref = -k + math.log(math.hypot(1.0, math.exp(-k)) - math.exp(-k))
+        assert abs(got - ref) <= err
+    logs, errors, _, _ = twisted._log_estimate(rows, ev(F(-1, 2), -2))
+    assert all(map(math.isfinite, logs + errors))
 
 
 @pytest.mark.parametrize("direction,ts", [
