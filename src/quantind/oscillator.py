@@ -10,8 +10,8 @@ is modelled.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .vectors import DomainError
@@ -27,10 +27,7 @@ def gaussian_moment(m: int) -> float:
         raise DomainError("moment order must be nonnegative")
     if m % 2 == 1:
         return 0.0
-    df = 1
-    for k in range(m - 1, 0, -2):
-        df *= k
-    return df * math.sqrt(2.0 * math.pi)
+    return math.prod(range(m - 1, 0, -2)) * math.sqrt(2.0 * math.pi)
 
 
 def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
@@ -92,24 +89,11 @@ def _newton_step(u: float, n: int) -> float:
     return _normed_hermite(u, n) / (_normed_hermite(u, n - 1) * math.sqrt(n))
 
 
-@functools.cache
-def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Hermite nodes and weights for the weight exp(-u^2/2), built as
-    numpy's `hermegauss` builds them, in plain Python.
-
-    Each positive root of He_n, largest first, is bracketed by a scan down
-    from sqrt(4n + 2), above every root, in steps 1 / sqrt(n), under a third
-    of the least gap between roots; Newton on the orthonormal recurrence,
-    bisecting wherever it would leave the bracket, converges to it.  Then
-    come hermegauss's finishing steps in its order: one more Newton step,
-    weights 1 / fm^2 with fm the degree n - 1 values over their largest, and
-    the rescaling to sum sqrt(2 pi).  The negative roots mirror the positive
-    ones exactly, and the recurrence is exactly odd or even in u, so
-    hermegauss's symmetrisation would change nothing.
-    """
-    n, roots = order, []
-    hi, gap = math.sqrt(4 * n + 2), 1 / math.sqrt(n)
-    for _ in range(n // 2):
+def _roots_below(hi: float, n: int):
+    """The roots of He_n below hi, largest first, each bracketed by steps 1 /
+    sqrt(n) down (under a third of any gap), then Newton in it, plus one step."""
+    gap = 1 / math.sqrt(n)
+    while True:
         lo = hi - gap
         while _normed_hermite(lo, n) * _normed_hermite(hi, n) > 0:
             lo, hi = lo - gap, lo
@@ -122,17 +106,39 @@ def _hermite_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             if abs(new - u) <= 1e-15 * u:
                 break
             u = new
-        roots.append(new)
+        yield new - _newton_step(new, n)
         hi = lo
-    roots = [u - _newton_step(u, n) for u in reversed(roots)]
-    nodes = [-u for u in reversed(roots)] + [0.0] * (n % 2) + roots
+
+
+@functools.cache
+def _hermite_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Hermite nodes and weights for the weight exp(-u^2/2), built as
+    numpy's `hermegauss` builds them, in plain Python: the roots below
+    sqrt(4n + 2), mirrored exactly (the recurrence is exactly odd or even in
+    u), weights 1 / fm^2 with fm the degree n - 1 values over their largest,
+    rescaled to sum sqrt(2 pi).  From order 371 on a (fm / top)^2 underflows
+    or a 1 / w or their sum overflows (from 718 on, the recurrence itself):
+    OverflowError, raised before the build where the extreme nodes decide
+    it.  |fm| peaks at the outermost root and is least at the innermost
+    (u = 0 for odd n); a ratio past 2^512 overflows its 1 / w.
+    """
+    error = OverflowError(f"Gauss-Hermite weights of order {n} exceed the double range")
+    outer = next(_roots_below(math.sqrt(4 * n + 2), n))
+    inner = next(_roots_below(2 / math.sqrt(n), n)) if n % 2 == 0 else 0.0
+    fm_in, fm_out = (abs(_normed_hermite(u, n - 1)) for u in (inner, outer))
+    if not fm_out <= fm_in * 2.0**512 * (1 + 1e-6):  # nan too; margin: even n's inner root
+        raise error
+    roots = list(itertools.islice(_roots_below(math.sqrt(4 * n + 2), n), n // 2))
+    nodes = [-u for u in roots] + [0.0] * (n % 2) + roots[::-1]
     fm = [_normed_hermite(u, n - 1) for u in nodes]
     top = max(map(abs, fm))
     w = [(f / top) * (f / top) for f in fm]
-    if not min(w):  # (fm / top)^2 underflows from order 390 on
-        raise OverflowError(f"Gauss-Hermite weights of order {n} exceed the double range")
-    w = [1 / x for x in w]
-    scale = math.sqrt(2 * math.pi) / math.fsum(w)
+    try:  # a (fm / top)^2 underflows to 0, or a 1 / w (scale 0) or their sum overflows
+        w = [1 / x for x in w]
+        if not (scale := math.sqrt(2 * math.pi) / math.fsum(w)) > 0:  # 0 or nan
+            raise error
+    except (ZeroDivisionError, OverflowError):
+        raise error from None
     return tuple(nodes), tuple(x * scale for x in w)
 
 
@@ -163,11 +169,7 @@ def oscillator_coefficient_quadrature(
 
 def oscillator_bound(a: Sequence[float]) -> float:
     """prod (a_i + 1/a_i)^{-1/2}, the uniform torus decay envelope."""
-    a = _check_torus(a)
-    out = 1.0
-    for ai in a:
-        out *= (ai + 1.0 / ai) ** -0.5
-    return out
+    return math.prod((ai + 1.0 / ai) ** -0.5 for ai in _check_torus(a))
 
 
 def h_kernel(a: Sequence[float], b: Sequence[float]) -> float:
@@ -193,7 +195,6 @@ def dual_pair_bound(a: Sequence[float], b: Sequence[float], p: int, q: int) -> f
         raise DomainError(f"b must have length p={p}")
     a = _check_torus(a)
     out = h_kernel(a, b) if p > 0 else 1.0
-    ex = Fraction(q - p, 2)
     for aj in a:
-        out *= (aj + 1.0 / aj) ** -float(ex)
+        out *= (aj + 1.0 / aj) ** ((p - q) / 2)
     return out

@@ -176,7 +176,7 @@ def _panel_rule():
     """The q = 10 and q = 20 Gauss-Legendre rules on [-1, 1] side by side:
     30 nodes as 1 + x, a weight matrix W with one column per rule, [C^T W] with
     the block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
-    basis l_k, and the rule (column of W) of each node."""
+    basis l_k, and the rule r (column of W) of each node twice, as r and 2 + r."""
     import numpy as np
     from numpy.polynomial import legendre as leg
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
@@ -186,7 +186,7 @@ def _panel_rule():
         coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
         coef *= W[block, rule]
         C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
-    return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1], [10, 20])
+    return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
 
 
 def _iterated(log_a, rates, S):
@@ -208,19 +208,22 @@ def _iterated(log_a, rates, S):
     in q (Trefethen, SIAM Review 2008; Babuska-Guo, Comput. Mech. 1986) with
     O(log S) panels per knot.  The error figure is |I_20 - I_10| / I_20 plus
     the rounding of the per-level log totals; both rules run on the same
-    nodes in one pass, scaled by one maximum per panel.  Above a knot lo
-    the inner F grow at most like e^{G s}, with
-    G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+; widths in that
-    gap are capped at 2 / G, so that their values inside a panel, which the
-    next level reads, stay good to the q = 10 collocation order.  The rows
-    share one recursion on a leading axis, each grid padded to the widest
-    with copies of its last edge: zero-width panels, which add exactly
-    -inf.  More than MAX_PANELS panels, padding included, are refused before
-    any grid is built, and so is an S where doubles lie more than h0 apart.
-    log F_i is carried with logaddexp, so no level underflows, and so is the
-    node log hypot(e^d, 1) = logaddexp(2d, 0) / 2; log f(t0) and T stay in
-    `math`, where numpy's rounding cannot move T.  The grid is set up in
-    Python, h0, the caps and the offsets h0 2^i once per call.
+    nodes in one pass.  Above a knot lo the inner F grow at most like
+    e^{G s}, with G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+;
+    widths in that gap are capped at 2 / G, so that their values inside a
+    panel, which the next level reads, stay good to the q = 10 collocation
+    order.  The rows share one recursion on a leading axis, each grid padded
+    to the widest with copies of its last edge: zero-width panels, which add
+    exactly -inf.  More than MAX_PANELS panels, padding included, are
+    refused before any grid is built, and so is an S where doubles lie more
+    than h0 apart.  No level underflows, yet only panel quantities are
+    logs: the totals and F_i(right end) / F_i(S); F_i at the nodes is a
+    fraction of F_i(right end).  The node log hypot(e^d, 1) is
+    (max(2d, 0) + log1p(e^-|2d|)) / 2, e^-|2d| clamped at e^-700, below every
+    ulp of the sum, to keep np.exp off its slow subnormal path.  log L so
+    rests on numpy's exp, log and log1p, which may move it by an ulp with
+    numpy's SIMD dispatch; log f(t0) and T stay in `math`, where numpy's
+    rounding cannot move T.
     """
     import numpy as np
     n = len(log_a[0])
@@ -260,40 +263,46 @@ def _iterated(log_a, rates, S):
     counts = [len(row) - 1 for row in edges]  # panels per row
     edges = np.array([row + row[-1:] * (max(counts) + 1 - len(row)) for row in edges])
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
-    x1, W, CW, rule = _panel_rule()
+    x1, W, CW, rule2 = _panel_rule()
     s = edges[:, :-1, None] + half * x1
-    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, as logaddexp(2d, 0) / 2 in d = log a_k - s
-    log_hyp = np.logaddexp(np.array(log_a).T[:, :, None, None] * 2 - (s + s), 0.0).sum(0) / 2
+    # sum_k log(a_k^2 + e^{2s}) / 2 - n s, as log(1 + e^u) / 2 at u = 2 (log a_k - s)
+    u = np.array(log_a).T[:, :, None, None] * 2 - (s + s)
+    e = np.log1p(np.exp(-np.minimum(abs(u), 700.0)))
+    log_hyp = (np.maximum(u, 0.0, out=u) + e).sum(0) / 2
     sums = np.zeros(s.shape[:2] + CW.shape[1:])  # padding left 0
     cum = np.full((len(s), max(counts) + 1, 2), -np.inf)  # log F_i at panel ends, F_i(0) = 0
     log_tot, levels = cum[:, 1:], []  # levels: log(F_i(S) / F_{i+1}(S)) per level and row
-    with np.errstate(divide="ignore"):  # log 0: zero-width panels, nodes with F = 0
+    with np.errstate(divide="ignore"):  # log 0: zero-width panels
+        log_half = scale = np.log(half)
         for i, r in reversed(list(enumerate(rates))):
-            lh = r * s - log_hyp  # + log(F_{i+1} / F_{i+1}(S)) at the nodes
-            if levels:  # not the innermost level
-                lh += log_F
+            lh = r * s - log_hyp
             top = np.maximum.reduce(lh, axis=2, keepdims=True)
             h = np.exp(np.subtract(lh, top, out=lh), out=lh)
+            if levels:  # not the innermost level: times F_{i+1} / F_{i+1}(right end)
+                h *= F
             # h @ [C^T W] (the outermost level: W) by one BLAS call per row on
             # its own panels, padding left 0: BLAS rounds a row differently
             # with the matrix height
             M, out = (CW, sums) if i else (W, np.zeros(s.shape[:2] + W.shape[1:]))
             for row, count in enumerate(counts):
                 np.dot(h[row, :count], M, out=out[row, :count])
-            out *= half  # from each panel's left end to its nodes
-            np.add(np.log(out[..., -2:], out=log_tot), top, out=log_tot)  # and to its right end
+            scale = scale + top  # log of the unit of out, per panel and rule
+            np.add(np.log(out[..., -2:], out=log_tot), scale, out=log_tot)
             if i == 0:
                 levels.append(np.logaddexp.reduce(log_tot, axis=1).tolist())
                 break
-            cum_n = np.logaddexp.accumulate(cum, axis=1, out=cum)[..., rule]
-            local = np.log(np.maximum(sums[..., :30], 0.0, out=h), out=h) + top
-            log_F = np.logaddexp(cum_n[:, :-1], local, out=local) - cum_n[:, -1:]
+            np.logaddexp.accumulate(cum, axis=1, out=cum)  # log F_i at panel ends
+            # F_i(left end) and out's unit over F_i(right end) give F_i at the nodes
+            G = np.exp(np.concatenate((cum[:, :-1] - log_tot, scale - log_tot), 2))[..., rule2]
+            F = np.maximum(sums[..., :30], 0.0, out=h) * G[..., 30:] + G[..., :30]
+            scale = log_half + (log_tot - cum[:, -1:])  # + log(F_i(right end) / F_i(S))
             levels.append(cum[:, -1].tolist())
     logs, errors = [], []
     for row in zip(*levels):  # per level: [log_10, log_20]
-        log_10, log_20 = _lsum(v[0] for v in row), _lsum(v[1] for v in row)
-        # plus rounding: each level's log total x is good to about eps |x|
-        rounding = 8.0 * sys.float_info.epsilon * _lsum(1.0 + abs(v[1]) for v in row)
+        log_10 = log_20 = size = 0.0  # summed left to right, as by _lsum
+        for v10, v20 in row:  # rounding: each level's log total x is good to about eps |x|
+            log_10, log_20, size = log_10 + v10, log_20 + v20, size + (1.0 + abs(v20))
+        rounding = 8.0 * sys.float_info.epsilon * size
         logs.append(log_20)
         errors.append(abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
     return logs, errors, [len(rates) * 30 * count for count in counts]

@@ -140,13 +140,20 @@ def test_hermite_rule_matches_hermegauss(order):
 
 @pytest.mark.parametrize("alpha", [400, 710])
 def test_hermite_weights_past_the_double_range_overflow(alpha):
-    # from order 390 on, (fm / max)^2 underflows to 0 for the outermost
-    # nodes: an OverflowError, as for the orders whose sums overflow, not a
-    # ZeroDivisionError
+    # from order 371 on the weights span more than the double range, and
+    # these orders are refused before the rule is built: an OverflowError,
+    # not a ZeroDivisionError
     with pytest.raises(OverflowError):
         _hermite_rule(alpha + 1)
     with pytest.raises(OverflowError):
         oscillator_coefficient_quadrature([2.0], [alpha], [alpha])
+
+
+def test_hermite_weights_whose_inverses_overflow():
+    # order 381: some 1 / w overflow to inf, so their sum is inf, and the
+    # rescaled weights would be 0 or nan and the coefficient nan
+    with pytest.raises(OverflowError, match="order 381 exceed the double range"):
+        oscillator_coefficient_quadrature([17.0], [0], [760])
 
 
 def test_huge_torus_entry_does_not_overflow():

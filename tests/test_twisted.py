@@ -105,6 +105,7 @@ def test_pinned_higher_dim_values(a, lam, ref, rtol):
     ((2.5, 1.5), -3, 5),
     ((3.0,), -2, 6),
     ((2.0, 1.0), -3, 8),
+    ((2.0, 1.0), -3, 16),  # the panel scales carried through 16 levels
 ])
 def test_equal_exponents_identity(a, c, p):
     # with lambda = (c, ..., c) the integrand is symmetric in b, so the
@@ -512,8 +513,11 @@ def test_node_log_hypot_is_finite_without_warnings():
     for (k,), got, err in zip(rows, logs, errors):
         ref = -k + math.log(math.hypot(1.0, math.exp(-k)) - math.exp(-k))
         assert abs(got - ref) <= err
-    logs, errors, _, _ = twisted._log_estimate(rows, ev(F(-1, 2), -2))
-    assert all(map(math.isfinite, logs + errors))
+    for lam in [ev(F(-1, 2), -2), ev(F(-1, 2), -2, -2)]:
+        # at p = 3 every inner level's update meets F = 0 at s = 0 and
+        # differences of log F past the exp range
+        logs, errors, _, _ = twisted._log_estimate(rows, lam)
+        assert all(map(math.isfinite, logs + errors))
 
 
 @pytest.mark.parametrize("direction,ts", [
