@@ -65,9 +65,10 @@ def _parse_group(text: str):
         return Orthogonal(p, q)
     if kind == "Sp":
         try:
-            return Symplectic(int(rest))
+            n = int(rest)
         except ValueError as exc:
             raise DomainError(f"bad group spec {text!r}") from exc
+        return Symplectic(n)
     raise DomainError("group must be O:p,q or Sp:n")
 
 

@@ -20,7 +20,6 @@ rationals; evaluation is floating point.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -137,8 +136,8 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
 def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
-    log L, its relative error (rule and tail), T and the node count.  The
-    lambda side is set up once per call, log f(t0) and T per row in `math`."""
+    log L, its relative error (rule and tail), T and the node count: the
+    lambda side once per call, log f(t0), T and the tail in plain loops."""
     p, n = len(lam), len(log_a[0])
     D = math.lcm(*(x.denominator for x in lam.entries))  # ints: D (lambda - (n-1)*1)
     rates = [x.numerator * (D // x.denominator) + (1 - n) * D for x in lam.entries]
@@ -147,16 +146,25 @@ def _log_estimate(log_a, lam: ExponentVector):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
     slope, norm = min(map(abs, margins)), math.prod(map(abs, margins))
-    # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
-    log_f0 = [max([margins[-1] * c - p * _lsum([(k - c + abs(k - c) + math.log1p(
-        math.exp(-2.0 * abs(k - c)))) / 2 for k in row]) for c in {0.0, *row}])
-        for row in log_a]
-    Ts = [(math.log(p / TAIL_FRACTION) - f0) / slope for f0 in log_f0]
+    Ts = []
+    for row in log_a:
+        # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
+        log_f0 = -math.inf
+        for c in {0.0, *row}:
+            acc = 0.0
+            for k in row:
+                d = k - c
+                acc += (d + abs(d) + math.log1p(math.exp(-2.0 * abs(d)))) / 2
+            log_f0 = max(log_f0, margins[-1] * c - p * acc)
+        Ts.append((math.log(p / TAIL_FRACTION) - log_f0) / slope)
     logs, errors, nodes = _iterated(log_a, rates, [p * T for T in Ts])
     # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
     # directions, relative to L
-    errors = [e + _lsum(math.exp(m * T - v) for m in margins) / norm
-              for v, e, T in zip(logs, errors, Ts)]
+    for i, (v, T) in enumerate(zip(logs, Ts)):
+        acc = 0.0
+        for m in margins:
+            acc += math.exp(m * T - v)
+        errors[i] += acc / norm
     return logs, errors, Ts, nodes
 
 
@@ -213,10 +221,11 @@ def _iterated(log_a, rates, S):
     widths in that gap are capped at 2 / G, so that their values inside a
     panel, which the next level reads, stay good to the q = 10 collocation
     order.  The rows share one recursion on a leading axis, each grid padded
-    to the widest with copies of its last edge: zero-width panels, which add
-    exactly -inf.  More than MAX_PANELS panels, padding included, are
-    refused before any grid is built, and so is an S where doubles lie more
-    than h0 apart.  No level underflows, yet only panel quantities are
+    in place to the widest with copies of its last edge: zero-width panels,
+    which add exactly -inf.  Each row's gaps and panel count come from one
+    plain loop; more than MAX_PANELS panels, padding included, are refused
+    before any edge is built, and so is an S where doubles lie more than h0
+    apart.  No level underflows, yet only panel quantities are
     logs: the totals and F_i(right end) / F_i(S); F_i at the nodes is a
     fraction of F_i(right end).  The node log hypot(e^d, 1) is
     (max(2d, 0) + log1p(e^-|2d|)) / 2, e^-|2d| clamped at e^-700, below every
@@ -230,38 +239,47 @@ def _iterated(log_a, rates, S):
     h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))
     if not math.ulp(max(S)) <= h0:
         raise DomainError(f"log a is too large: panels {h0:.3g} wide are not resolved")
-    # caps[c]: the width cap above a knot with c of the log a_k at or past it
-    caps = [2.0 / G if G else math.inf for G in
-            (_lsum(max(r + c, 0.0) for r in rates[1:]) for c in range(n + 1))]
-    grids = []  # per row: S and its gaps (lo, hi, cap, doublings, cap widths)
+    caps = []  # caps[c]: the width cap above a knot with c of the log a_k at or past it
+    for c in range(n + 1):
+        G = 0.0
+        for r in rates[1:]:
+            G += max(r + c, 0.0)
+        caps.append(2.0 / G if G else math.inf)
+    grids, widest = [], 0  # per row: S and its gaps (lo, hi, cap, j, k)
     for row, end in zip(log_a, S):
         row = sorted(row)
         knots = [k for k in sorted({0.0, *row}) if k < end]
         # a gap between knots is graded toward both its ends, the last one,
         # up to S (hi = None), toward its knot only: widths h0, h0, 2 h0, ...
         # away from the knot, at most the cap: j doublings, then k cap widths
-        gaps = []
+        gaps, below, panels = [], 0, 0  # below: the log a_k < lo
         for lo, hi in zip(knots, knots[1:] + [None]):
+            while below < n and row[below] < lo:
+                below += 1
             L = end - lo if hi is None else (hi - lo) / 2
-            cap = caps[n - bisect.bisect_left(row, lo)]
-            gaps.append((lo, hi, cap, max(0, math.ceil(math.log2(min(L, cap) / h0))),
-                         max(0, math.ceil(L / cap) - 1)))
+            cap = caps[n - below]
+            j = max(0, math.ceil(math.log2(min(L, cap) / h0)))
+            k = max(0, math.ceil(L / cap) - 1)
+            gaps.append((lo, hi, cap, j, k))
+            panels += (1 + j + k) * (1 if hi is None else 2)
         grids.append((end, gaps))
-    panels = len(grids) * max(sum((1 + j + k) * (1 if hi is None else 2)
-                                  for _, hi, _, j, k in gaps) for _, gaps in grids)
+        widest = max(widest, panels)
+    panels = len(grids) * widest
     if panels > MAX_PANELS:
         raise DomainError(f"the integral needs about {panels:.3g} panels")
-    doublings = [h0 * 2.0**i for i in range(max(g[3] for _, gaps in grids for g in gaps))]
+    doublings = [0.0] + [h0 * 2.0**i for i in range(max(g[3] for _, gs in grids for g in gs))]
     edges = []
     for end, gaps in grids:
         row = [end]
         for lo, hi, cap, j, k in gaps:
-            offsets = [0.0, *doublings[:j]]
-            offsets += [cap * i for i in range(1, k + 1)] if k else []
-            row += [lo + w for w in offsets] + [hi - w for w in offsets if hi is not None]
+            offsets = doublings[:j + 1] + ([cap * i for i in range(1, k + 1)] if k else [])
+            row += [lo + w for w in offsets] + ([] if hi is None else [hi - w for w in offsets])
         edges.append(sorted(set(row)))
     counts = [len(row) - 1 for row in edges]  # panels per row
-    edges = np.array([row + row[-1:] * (max(counts) + 1 - len(row)) for row in edges])
+    width = max(counts) + 1
+    for row in edges:  # padded to the widest with copies of the last edge
+        row += row[-1:] * (width - len(row))
+    edges = np.array(edges, dtype=float)
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
     x1, W, CW, rule2 = _panel_rule()
     s = edges[:, :-1, None] + half * x1
@@ -366,7 +384,7 @@ def check_gr2(
     for ray in rays:
         if len(ray.direction) != n:
             raise DomainError("ray dimension must equal n")
-        rate = sum(m * s for m, s in zip(rate_coeffs, ray.direction))
+        rate = _lsum(m * s for m, s in zip(rate_coeffs, ray.direction))
         ts, logs = _ray_logs(ray, lam)
         log_ratios = logs - (1.0 - delta) * rate * ts
         # trend of the tail half, at least three points: the surrogate asks

@@ -29,6 +29,18 @@ def test_rho_malformed(capsys):
     assert "group" in err
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ("Sp:0", "Sp(2n) requires n >= 1"),
+    ("Sp:-2", "Sp(2n) requires n >= 1"),
+    ("Sp:x", "bad group spec 'Sp:x'"),
+])
+def test_rho_bad_symplectic_spec_says_why(capsys, spec, reason):
+    # a spec that parses but names no group keeps the group's own reason
+    code, _, err = invoke(capsys, "rho", "--group", spec)
+    assert code == 2
+    assert reason in err
+
+
 def test_order(capsys):
     code, out, _ = invoke(capsys, "order", "--rel", "strict", "--x", "-1,1/2")
     assert code == 0 and out.strip() == "true"

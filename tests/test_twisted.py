@@ -344,8 +344,9 @@ def test_fit_decay_past_the_double_range_of_a(direction, ts, slope):
 
 
 def test_ray_pass_equals_the_one_point_path():
-    # a ray runs all its points through one padded recursion; each log L
-    # must be bit for bit the one-point value at the same log a
+    # a ray runs all its points through one padded recursion; each log L,
+    # T and node count must be bit for bit the one-point value at the same
+    # log a
     rng = random.Random(2026)
     for _ in range(100):
         p, n = rng.randint(1, 4), rng.randint(1, 3)
@@ -358,10 +359,12 @@ def test_ray_pass_equals_the_one_point_path():
         t_max = rng.choice((5.0, 50.0, 700.0)) / direction[0]
         ts = sorted(rng.sample(range(1, 1000), rng.randint(3, 11)))
         ray = RaySpec(direction, [t_max * t / 999 for t in ts])
-        logs = twisted._ray_logs(ray, lam)[1]
-        for t, log_value in zip(ray.t_values, logs):
-            one = twisted._log_estimate([[t * s for s in ray.direction]], lam)
-            assert one[0][0] == log_value
+        log_a = [[t * s for s in ray.direction] for t in ray.t_values]
+        logs, _, Ts, nodes = twisted._log_estimate(log_a, lam)
+        assert twisted._ray_logs(ray, lam)[1].tolist() == logs
+        for row, log_value, T, count in zip(log_a, logs, Ts, nodes):
+            [one], _, [one_T], [one_count] = twisted._log_estimate([row], lam)
+            assert (one, one_T.hex(), one_count) == (log_value, T.hex(), count)
 
 
 def _panels_needed(call):
@@ -390,16 +393,21 @@ def test_grid_limit_counts_the_whole_ray(monkeypatch):
 
 def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
     # every point needs a panel at least, so such a ray is refused before
-    # log f(t0) or a grid is worked out for any of its points
+    # log f(t0) or a grid is worked out for any of its points: the row
+    # loops run in `math`, which here fails on any use
     def unreachable(*args):
         raise AssertionError("the rows were set up")
 
+    class NoMath:
+        def __getattr__(self, name):
+            unreachable()
+
+    ray, lam = RaySpec([1.0], [1.0, 2.0, 3.0, 4.0, 5.0]), ev(-2)
     monkeypatch.setattr(twisted, "MAX_PANELS", 4)
     monkeypatch.setattr(twisted, "_iterated", unreachable)
-    monkeypatch.setattr(twisted, "_lsum", unreachable)
-    ray = RaySpec([1.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    monkeypatch.setattr(twisted, "math", NoMath())
     with pytest.raises(DomainError, match="5 points need more than 4 panels"):
-        fit_decay(ray, ev(-2))
+        fit_decay(ray, lam)
 
 
 def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
@@ -476,6 +484,27 @@ PINNED_LOG_ESTIMATES = [
     ([[_L(2.0), 0.0], [40.0, 20.0]], ["-1/3", "-2/7", "-1000001/1000000"],
      ["-0x1.196c1c8a47388p+2", "-0x1.267d7b702e81ap+7"],
      ["0x1.2f4f1f2869be6p+4", "0x1.06dd25ba131dfp+7"], [810, 3330]),
+    # the benchmark's ray shapes, pinned before the per-row set-up became
+    # plain loops: 11 points of s = 1 at t = 1, 1.5, ..., 6 (p = 1), and 7
+    # points along (1, 0) with two knots, one at 0 (p = 2)
+    ([[1.0 + 0.5 * i] for i in range(11)], ["-3/2"],
+     ["-0x1.f81887ea3f030p-1", "-0x1.4df235d90530bp+0", "-0x1.ad0aa68c5d224p+0",
+      "-0x1.0aad31173f7bdp+1", "-0x1.4208529568c8cp+1", "-0x1.7ba3ad454db57p+1",
+      "-0x1.b6db67fb4ccaep+1", "-0x1.f33f3b168d85cp+1", "-0x1.18404d118d3bbp+2",
+      "-0x1.3733ba9c73288p+2", "-0x1.566589e56efb0p+2"],
+     ["0x1.d0c8980aaea71p+3", "0x1.da9d569e40113p+3", "0x1.e4f4e3fbc8d94p+3",
+      "0x1.ef80554cc17dcp+3", "0x1.fa1f6c3a1ccb9p+3", "0x1.0262e8b67893bp+4",
+      "0x1.07b774b2d2228p+4", "0x1.0d0c7fee574a5p+4", "0x1.1261ba000edacp+4",
+      "0x1.17b7054d98d70p+4", "0x1.1d0c56f245e89p+4"],
+     [210, 270, 270, 270, 330, 330, 330, 330, 330, 390, 390]),
+    ([[1.0 + 0.5 * i, 0.0] for i in range(7)], ["-1", "-2"],
+     ["-0x1.043209e88d79ep+2", "-0x1.33405ccf1fee6p+2", "-0x1.68f3c5f804c40p+2",
+      "-0x1.a2cbb3dc1a4f6p+2", "-0x1.df20f06f7f27fp+2", "-0x1.0e78550aa1ec6p+3",
+      "-0x1.2dd0867c6d20ap+3"],
+     ["0x1.83c8a7dc40392p+3", "0x1.9287c5b99a583p+3", "0x1.a20b19c5e7845p+3",
+      "0x1.b1dc43bf5c7b2p+3", "0x1.c1cae623656fdp+3", "0x1.d1c47defa3f98p+3",
+      "0x1.e1c221e4b0a5fp+3"],
+     [660, 780, 780, 780, 900, 900, 900]),
 ]
 
 
@@ -587,6 +616,22 @@ def test_check_gr2_ratios_are_exp_of_the_fitted_log_ratios():
         np.polyfit(ray.t_values[-5:], logs[-5:], 1)[0], rel=1e-9
     )
     assert check.max_ratio == max(check.ratios)
+
+
+def test_check_gr2_rate_is_summed_left_to_right():
+    # rate = mu . s is summed left to right, as every float sum here: on
+    # this ray Python 3.12's compensated `sum` (and math.fsum) give
+    # -0x1.5cccccccccccdp+1, one ulp off, and every ratio would move
+    lam, direction = ev(F(-5, 2)), (1.23, 1.11, 0.77)
+    ray = RaySpec(direction, np.linspace(1.0, 4.0, 7))
+    report = check_gr2(lam, 1, 3, [ray], delta=0.05)
+    rate = 0.0
+    for m, s in zip(report.mu_bound.floats(), direction):
+        rate += m * s
+    assert rate.hex() == "-0x1.5ccccccccccccp+1"
+    ts, logs = twisted._ray_logs(ray, lam)
+    ratios = tuple(math.exp(x) for x in logs - (1.0 - 0.05) * rate * ts)
+    assert report.rays[0].ratios == ratios
 
 
 def test_check_gr2_rejects_bad_delta():
