@@ -4,7 +4,12 @@ Given lambda < 0 (all prefix sums strictly negative, length p), the map
 produces mu >= 0 of length n by water-filling an n x p matrix eta of weights
 in [0, 1] under cumulative budget constraints at the breakpoint indices, and
 returns -mu.  The breakpoints are the strict suffix minima of the running
-caps -sum(lambda[:j]).  All arithmetic is exact rational.
+caps -sum(lambda[:j]).  All arithmetic is exact: it runs on Python ints,
+D lambda and its caps and block totals, with D the lcm of lambda's
+denominators, and each public field (budgets, block totals, mu, the
+output) is built once as Fraction(v, D).  `check_assignment` and
+`EtaAssignment.eta` stay in Fractions: the independent check and the
+display.
 
 `lpn_oracle` re-derives the result by enumerating the feasible constraint
 structures (equality vs. saturated block at each breakpoint) and taking the
@@ -19,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import NamedTuple
 
-from .vectors import DomainError, ExponentVector
+from .vectors import DomainError, ExponentVector, _size
 
 ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
@@ -75,22 +80,10 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
     j_1 is the greatest index attaining the minimum of -sum(lambda[:j]) over
     j in [1, p]; each later j_{s+1} is the greatest minimizer over
     [j_s + 1, p].  The recursion always terminates with j_m = p and the
-    budgets strictly increase.  j is a greatest suffix minimizer exactly when
-    every later cap is larger: one right-to-left pass finds these minima.
-    Every cap must be positive: this is the lambda < 0 check of `lpn`.
+    budgets strictly increase.
     """
-    if p is not None and p != len(lam):
-        raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
-    caps = [-s for s in lam.prefix_sums()]  # caps[j-1] = -sum(lambda[:j])
-    if min(caps) <= 0:
-        raise DomainError("lambda must satisfy lambda < 0 (all prefix sums negative)")
-    p = len(caps)
-    indices = [p]
-    for j in range(p - 1, 0, -1):
-        if caps[j - 1] < caps[indices[-1] - 1]:
-            indices.append(j)
-    indices.reverse()
-    return BreakpointSequence(tuple(indices), tuple(caps[j - 1] for j in indices))
+    D, indices, budgets = _breakpoints(lam, p)
+    return BreakpointSequence(tuple(indices), _over(budgets, D))
 
 
 def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
@@ -103,21 +96,19 @@ def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
     in order gives the row sums `_lex_max_rows`; eta itself is built only
     when read.
     """
-    bps = breakpoints(lam, p)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    widths = _widths(bps)
-    totals: list[Fraction] = []
+    n, D, indices, widths, budgets = _blocks(lam, p, n)
+    totals: list[int] = []
     cases: list[str] = []
-    assigned = Fraction(0)
-    for w, budget in zip(widths, bps.budgets):
-        remaining = budget - assigned
-        saturated = n * w < remaining
-        totals.append(Fraction(n * w) if saturated else remaining)
+    assigned = 0
+    for w, budget in zip(widths, budgets):
+        remaining, full = budget - assigned, n * w * D
+        saturated = full < remaining
+        totals.append(full if saturated else remaining)
         cases.append("ar3" if saturated else "ar2")
         assigned += totals[-1]
-    mu = _lex_max_rows(totals, widths, n)
-    return EtaAssignment(mu, tuple(totals), bps, tuple(cases))
+    mu = _lex_max_rows(totals, widths, n, D)
+    bps = BreakpointSequence(tuple(indices), _over(budgets, D))
+    return EtaAssignment(_over(mu, D), _over(totals, D), bps, tuple(cases))
 
 
 def lpn(lam: ExponentVector, p: int | None, n: int) -> LpnResult:
@@ -172,62 +163,88 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     maximizes (mu_1, mu_2, ...) lexicographically given the implied block
     totals.  Small instances only: at most ORACLE_MAX_CELLS cells p*n.
     """
-    bps = breakpoints(lam, p)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n, D, indices, widths, budgets = _blocks(lam, p, n)
     cells = len(lam) * n
     if cells > ORACLE_MAX_CELLS:
         raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {cells}")
-    m = len(bps.indices)
-    widths = _widths(bps)
-    best: tuple[Fraction, ...] | None = None
-    for combo in product(("eq", "sat"), repeat=m):
-        totals: list[Fraction] = []
-        cum = Fraction(0)
-        feasible = True
-        for choice, w, budget in zip(combo, widths, bps.budgets):
+    best: list[int] | None = None
+    for combo in product(("eq", "sat"), repeat=len(indices)):
+        totals: list[int] = []
+        cum = 0
+        for choice, w, budget in zip(combo, widths, budgets):
+            full = n * w * D
             if choice == "eq":
                 t = budget - cum
-                if t < 0 or t > n * w:
-                    feasible = False
+                if t < 0 or t > full:
                     break
             else:
-                t = Fraction(n * w)
+                t = full
                 if cum + t >= budget:
-                    feasible = False
                     break
             totals.append(t)
             cum += t
-        if not feasible:
-            continue
-        mu = _lex_max_rows(totals, widths, n)
-        if best is None or mu > best:
-            best = mu
+        else:  # feasible
+            mu = _lex_max_rows(totals, widths, n, D)
+            if best is None or mu > best:
+                best = mu
     if best is None:
         raise DomainError("no feasible constraint structure (lambda not < 0?)")
-    return ExponentVector(-v for v in best)
+    return ExponentVector(Fraction(-v, D) for v in best)
 
 
-def _lex_max_rows(
-    totals: list[Fraction], widths: list[int], n: int
-) -> tuple[Fraction, ...]:
-    """Largest (mu_1, ..., mu_n) in lexicographic order given per-block totals.
+def _breakpoints(lam: ExponentVector, p: int | None):
+    """`breakpoints` on ints: D, the indices and the budgets times D.
+
+    j is a greatest suffix minimizer exactly when every later cap is
+    larger: one right-to-left pass finds these minima.  Every cap must be
+    positive: this is the lambda < 0 check of `lpn`.
+    """
+    if p is not None and _size(p) != len(lam):
+        raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
+    D, scaled = lam.scaled()
+    caps = [-s for s in accumulate(scaled)]  # caps[j-1] = -D sum(lambda[:j])
+    if min(caps) <= 0:
+        raise DomainError("lambda must satisfy lambda < 0 (all prefix sums negative)")
+    indices = [len(caps)]
+    for j in range(len(caps) - 1, 0, -1):
+        if caps[j - 1] < caps[indices[-1] - 1]:
+            indices.append(j)
+    indices.reverse()
+    return D, indices, [caps[j - 1] for j in indices]
+
+
+def _blocks(lam: ExponentVector, p: int | None, n: int):
+    """The checked n, then D, the breakpoint indices, the block widths and
+    the budgets times D, in the order the errors are reported."""
+    n = _size(n)
+    D, indices, budgets = _breakpoints(lam, p)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    widths = [j - prev for prev, j in zip([0] + indices[:-1], indices)]
+    return n, D, indices, widths, budgets
+
+
+def _lex_max_rows(totals: list[int], widths: list[int], n: int, D: int) -> list[int]:
+    """Largest (mu_1, ..., mu_n) in lexicographic order given per-block
+    totals, all times D.
 
     Cells are capped at one, so a row takes at most the block width: a block
     of width w and total t <= n*w gives w to each of its first floor(t/w)
     rows and the remainder to the next row.  The blocks are summed through a
     difference array, in O(n + m) rather than cell by cell.
     """
-    diff = [Fraction(0)] * (n + 1)
+    diff = [0] * (n + 1)
     for t, w in zip(totals, widths):
+        w *= D
         full, part = divmod(t, w)
         diff[0] += w
         diff[full] -= w
         if part:  # t < n*w here, so row full + 1 exists in diff
             diff[full] += part
             diff[full + 1] -= part
-    return tuple(accumulate(diff[:n]))
+    return list(accumulate(diff[:n]))
 
 
-def _widths(bps: BreakpointSequence) -> list[int]:
-    return [j - prev for prev, j in zip((0,) + bps.indices[:-1], bps.indices)]
+def _over(values: list[int], D: int) -> tuple[Fraction, ...]:
+    """The public Fraction fields: each value over D, built once."""
+    return tuple(Fraction(v, D) for v in values)

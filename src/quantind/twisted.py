@@ -28,7 +28,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .lpn import lpn
-from .vectors import DomainError, ExponentVector, _record, strictly_dominated
+from .vectors import DomainError, ExponentVector, _record, _size
 
 TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
@@ -99,11 +99,13 @@ class Gr2Report(NamedTuple):
 
 def converges(lam: ExponentVector, p: int | None, n: int) -> bool:
     """Exact convergence test: all prefix sums of lambda - (n-1)*1 are negative."""
-    if p is not None and p != len(lam):
+    n = _size(n)
+    if p is not None and _size(p) != len(lam):
         raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
     if n < 1:
         raise DomainError("n must be >= 1")
-    return strictly_dominated(lam.shift(1 - n))
+    D, scaled = lam.scaled()  # on ints: D (lambda - (n-1)*1)
+    return all(m < 0 for m in itertools.accumulate(x + (1 - n) * D for x in scaled))
 
 
 def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
@@ -139,8 +141,8 @@ def _log_estimate(log_a, lam: ExponentVector):
     log L, its relative error (rule and tail), T and the node count: the
     lambda side once per call, log f(t0), T and the tail in plain loops."""
     p, n = len(lam), len(log_a[0])
-    D = math.lcm(*(x.denominator for x in lam.entries))  # ints: D (lambda - (n-1)*1)
-    rates = [x.numerator * (D // x.denominator) + (1 - n) * D for x in lam.entries]
+    D, scaled = lam.scaled()  # on ints: D (lambda - (n-1)*1)
+    rates = [x + (1 - n) * D for x in scaled]
     margins = list(itertools.accumulate(rates))
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")

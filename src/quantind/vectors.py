@@ -9,6 +9,7 @@ ties.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -98,6 +99,12 @@ class ExponentVector:
 
     def prefix_sums(self) -> tuple[Fraction, ...]:
         return tuple(itertools.accumulate(self.entries))
+
+    def scaled(self) -> tuple[int, list[int]]:
+        """(D, D * entries): D the lcm of the entry denominators, so the
+        scaled entries are ints and entry i is exactly Fraction(ints[i], D)."""
+        D = math.lcm(*(x.denominator for x in self.entries))
+        return D, [x.numerator * (D // x.denominator) for x in self.entries]
 
     def floats(self) -> tuple[float, ...]:
         return tuple(float(a) for a in self.entries)

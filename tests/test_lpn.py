@@ -213,8 +213,148 @@ def test_witness_revalidates(lam, n):
     assert not check_assignment(lam, tampered)
 
 
+LENGTH = r"^lambda has length 2, expected p=3$"
+NOT_NEGATIVE = r"^lambda must satisfy lambda < 0 \(all prefix sums negative\)$"
+N_POSITIVE = r"^n must be >= 1$"
+SIZE = r"^size must be an integer, got "
+# sizes are exact integers: n = True used to run as n = 1, and 1.5, 2.0 or
+# 3/2 to fail with a TypeError
+BAD_SIZES = (True, False, 1.5, 2.0, F(3, 2))
+
+
 def test_lpn_rejects_bad_input():
     with pytest.raises(DomainError):
         lpn(ev(0), 1, 1)
     with pytest.raises(DomainError):
         lpn(ev(-1, -1), 3, 2)
+    lam = ev(-1, F(-1, 2))
+    for fn in (lpn, greedy_eta, lpn_oracle):
+        # the texts in their order: each input also has every later fault
+        with pytest.raises(DomainError, match=LENGTH):
+            fn(ev(1, 1), 3, 0)
+        with pytest.raises(DomainError, match=NOT_NEGATIVE):
+            fn(ev(1, 1), 2, 0)
+        with pytest.raises(DomainError, match=N_POSITIVE):
+            fn(lam, 2, 0)
+        for size in BAD_SIZES:
+            with pytest.raises(DomainError, match=SIZE):
+                fn(lam, 2, size)
+            with pytest.raises(DomainError, match=SIZE):
+                fn(lam, size, 2)
+        assert fn(lam, F(2), F(3)) == fn(lam, 2, 3)
+    with pytest.raises(DomainError, match=LENGTH):
+        breakpoints(ev(1, 1), 3)
+    with pytest.raises(DomainError, match=NOT_NEGATIVE):
+        breakpoints(ev(1, 1), 2)
+    for size in BAD_SIZES:
+        with pytest.raises(DomainError, match=SIZE):
+            breakpoints(lam, size)
+    assert breakpoints(lam, F(2)) == breakpoints(lam)
+
+
+# ---------------------------------------------------------------------------
+# large and mixed denominators against a Fraction transcription
+
+
+def fraction_greedy(lam, n):
+    """Breakpoints, block totals, cases and row sums, all in Fractions.
+
+    The breakpoints come from the greatest-minimizer recursion; the block
+    totals and the row fill are the Fraction form of `greedy_eta` and
+    `_lex_max_rows`, step for step.
+    """
+    caps = [-s for s in itertools.accumulate(lam)]
+    indices, lo = [], 0
+    while lo < len(caps):
+        best = min(caps[lo:])
+        lo = max(j for j in range(lo, len(caps)) if caps[j] == best) + 1
+        indices.append(lo)
+    budgets = [caps[j - 1] for j in indices]
+    widths = [j - prev for prev, j in zip([0] + indices[:-1], indices)]
+    totals, cases, assigned = [], [], F(0)
+    for w, budget in zip(widths, budgets):
+        remaining = budget - assigned
+        saturated = n * w < remaining
+        totals.append(F(n * w) if saturated else remaining)
+        cases.append("ar3" if saturated else "ar2")
+        assigned += totals[-1]
+    diff = [F(0)] * (n + 1)
+    for t, w in zip(totals, widths):
+        full, part = divmod(t, w)
+        diff[0] += w
+        diff[full] -= w
+        if part:
+            diff[full] += part
+            diff[full + 1] -= part
+    mu = tuple(itertools.accumulate(diff[:n]))
+    return tuple(indices), tuple(budgets), tuple(totals), tuple(cases), mu
+
+
+def from_caps(caps):
+    """The lambda whose running caps -sum(lambda[:j]) are `caps` (all > 0)."""
+    sums = [-c for c in caps]
+    return ExponentVector(b - a for a, b in zip([0] + sums, sums))
+
+
+# caps with any denominator up to 10**6, mixed with a few small ones that
+# tie often; up to 70, so that blocks of up to 64 rows still saturate
+cap_strategy = st.one_of(
+    st.integers(1, 10**6).flatmap(
+        lambda d: st.integers(1, 70 * d).map(lambda k: F(k, d))
+    ),
+    st.sampled_from([F(k, d) for d in (1, 2, 3, 7) for k in range(1, 3 * d)]),
+)
+wide_lam_strategy = st.integers(1, 64).flatmap(
+    lambda p: st.lists(cap_strategy, min_size=p, max_size=p)
+).map(from_caps)
+
+
+def assert_matches_transcription(lam, n):
+    indices, budgets, totals, cases, mu = fraction_greedy(lam, n)
+    result = lpn(lam, len(lam), n)
+    w = result.witness
+    assert w.block_structure == (indices, budgets)
+    assert (w.totals, w.cases, w.mu) == (totals, cases, mu)
+    assert result.output == ExponentVector(-m for m in mu)
+    fields = w.mu + w.totals + w.block_structure.budgets
+    assert all(type(x) is F for x in fields)
+    assert all(type(x) is F for x in result.mu.entries + result.output.entries)
+    assert check_assignment(lam, w)
+
+
+@given(wide_lam_strategy, st.integers(1, 64))
+@settings(max_examples=50, deadline=None)
+def test_lpn_matches_fraction_transcription(lam, n):
+    assert_matches_transcription(lam, n)
+
+
+def test_lpn_pinned_denominator_2_64_plus_1():
+    eps = F(1, 2**64 + 1)
+    lam = ev(F(-1, 3), eps, F(-5, 2))  # D = 6 (2**64 + 1)
+    result = lpn(lam, 3, 2)
+    assert result.witness.block_structure.indices == (2, 3)
+    assert result.witness.cases == ("ar2", "ar3")
+    assert result.witness.totals == (F(1, 3) - eps, F(2))
+    assert result.output == ev(eps - F(4, 3), -1)
+    for n in (1, 2, 3, 64):
+        assert_matches_transcription(lam, n)
+
+
+# small denominators, so that the oracle meets ties and exact equalities
+small_cap_strategy = st.integers(1, 40).flatmap(
+    lambda k: st.sampled_from([F(k, 3), F(k, 5), F(k, 7)])
+)
+
+
+@given(
+    st.integers(1, 16).flatmap(
+        lambda p: st.tuples(
+            st.lists(small_cap_strategy, min_size=p, max_size=p).map(from_caps),
+            st.integers(1, 16 // p),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_greedy_denominators_3_5_7(case):
+    lam, n = case
+    assert lpn_oracle(lam, len(lam), n) == lpn(lam, len(lam), n).output

@@ -36,6 +36,22 @@ def test_converges_multivariate():
     assert converges(ev(-3, -3), 2, 1)
 
 
+def test_converges_rejects_bad_input():
+    with pytest.raises(DomainError, match=r"^lambda has length 2, expected p=3$"):
+        converges(ev(1, 1), 3, 0)
+    with pytest.raises(DomainError, match=r"^n must be >= 1$"):
+        converges(ev(1, 1), 2, 0)
+    # sizes are exact integers: n = 1.5 used to fail in the rational check
+    # as "exact rational required, got -0.5"
+    for size in (True, False, 1.5, 2.0, F(3, 2)):
+        with pytest.raises(DomainError, match="^size must be an integer, got "):
+            converges(ev(-1, -1), 2, size)
+        with pytest.raises(DomainError, match="^size must be an integer, got "):
+            converges(ev(-1, -1), size, 2)
+    assert converges(ev(1, -4), F(2), F(3))
+    assert not converges(ev(2, -4), F(2), F(3))
+
+
 def test_rayspec_validation():
     with pytest.raises(DomainError):
         RaySpec([0.5, 1.0], [1.0, 2.0])  # increasing direction
@@ -644,6 +660,16 @@ def test_check_gr2_needs_a_ray():
     # with no ray there is no check, so no verdict
     with pytest.raises(DomainError, match="at least one ray"):
         check_gr2(ev(-1), 1, 1, [])
+
+
+def test_check_gr2_sizes_are_exact_integers():
+    rays = [RaySpec([1.0], [1.0, 2.0, 3.0])]
+    for size in (True, False, 1.5, 2.0, F(3, 2)):
+        with pytest.raises(DomainError, match="^size must be an integer, got "):
+            check_gr2(ev(-1), 1, size, rays)
+        with pytest.raises(DomainError, match="^size must be an integer, got "):
+            check_gr2(ev(-1), size, 1, rays)
+    assert check_gr2(ev(-1), F(1), F(1), rays) == check_gr2(ev(-1), 1, 1, rays)
 
 
 @pytest.mark.parametrize("ts", [[], [2.0], [1.0, 2.0]])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,16 @@ def test_vector_arithmetic():
     assert -x == ExponentVector([1, 2])
     assert x.shift(2) == ExponentVector([1, 0])
     assert x.prefix_sums() == (F(-1), F(-3))
+    assert x.scaled() == (1, [-1, -2])
+    assert ExponentVector([F(1, 2), F(-2, 3), 5]).scaled() == (6, [3, -4, 30])
+
+
+@given(vectors)
+def test_scaled_is_exact(x):
+    D, scaled = x.scaled()
+    assert all(type(v) is int for v in scaled)
+    assert [F(v, D) for v in scaled] == list(x)
+    assert D == math.lcm(*(e.denominator for e in x))
 
 
 def test_rho_values():
