@@ -25,11 +25,9 @@ from .vectors import (
     Partition,
     Symplectic,
     _fmt_vec,
+    _in_range,
     _record,
-    rho_shift,
-    strictly_dominated,
     transpose,
-    weakly_dominated,
 )
 
 
@@ -83,27 +81,27 @@ class DualPairChain(_record("DualPairChain", "start_kind groups initial_lambda")
 
 def in_semistable_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     """lambda - n*1 + 2 rho(O(p,q)) < 0 (convergence of the averaging integral)."""
-    return strictly_dominated(rho_shift(lam, Orthogonal(p, q), n, 2))
+    return _in_range(lam, Orthogonal(p, q), n, 2, True)
 
 
 def in_semistable_Sp_to_O(lam: ExponentVector, n: int, p: int, q: int) -> bool:
     """lambda - ((p+q)/2)*1 + 2 rho(Sp(2n)) < 0."""
     g = Symplectic(n)
     Orthogonal(p, q)
-    return strictly_dominated(rho_shift(lam, g, Fraction(p + q, 2), 2))
+    return _in_range(lam, g, Fraction(p + q, 2), 2, True)
 
 
 def in_ss_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     """lambda - (n - (p+q)/2)*1 + rho(O(p,q)) <= 0 (positivity region)."""
     g = Orthogonal(p, q)
-    return weakly_dominated(rho_shift(lam, g, Fraction(2 * n - (p + q), 2), 1))
+    return _in_range(lam, g, Fraction(2 * n - (p + q), 2), 1, False)
 
 
 def in_ss_Sp_to_O(lam: ExponentVector, n: int, p: int, q: int) -> bool:
     """lambda - ((p+q)/2 - n - 1)*1 + rho(Sp(2n)) <= 0."""
     g = Symplectic(n)
     Orthogonal(p, q)
-    return weakly_dominated(rho_shift(lam, g, Fraction(p + q, 2) - n - 1, 1))
+    return _in_range(lam, g, Fraction(p + q, 2) - n - 1, 1, False)
 
 
 def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
@@ -114,7 +112,7 @@ def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     if p + q > 2 * n + 1:
         raise DomainError("requires p+q <= 2n+1")
     c = Fraction(2 * n - (p + q - 1), 2)
-    return weakly_dominated(rho_shift(lam, g, c, 1))
+    return _in_range(lam, g, c, 1, False)
 
 
 # (test, dir) -> (predicate, inequality), the template filled with

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from typing import Sequence
 
 from .vectors import DomainError
@@ -39,6 +40,14 @@ def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
     return a
 
 
+def _normal(value: float, what: str) -> float:
+    """value where it is a positive normal double, else OverflowError: never
+    a silent 0.0 or a subnormal with lost digits."""
+    if not value >= sys.float_info.min:
+        raise OverflowError(f"{what} is below the normal double range")
+    return value
+
+
 def _check_index(alpha: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != dim:
@@ -57,6 +66,8 @@ def oscillator_coefficient(
 
     with c the Gaussian moment of order alpha_i + beta_i.  Summed in log
     space, with (1 + a_i^2)^{1/2} as hypot(1, a_i), so no a_i^2 can overflow.
+    Exactly 0.0 when an alpha_i + beta_i is odd; OverflowError where the
+    value lies below the normal double range.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
@@ -71,7 +82,7 @@ def oscillator_coefficient(
             + (al + 0.5) * math.log(ai)
             - (al + be + 1) * math.log(math.hypot(1.0, ai))
         )
-    return math.exp(log_out)
+    return _normal(math.exp(log_out), f"the coefficient e^{log_out:.6g}")
 
 
 def _normed_hermite(u: float, n: int) -> float:
@@ -153,7 +164,9 @@ def oscillator_coefficient_quadrature(
     alpha_i + beta_i in u, which Gauss-Hermite with
     floor((alpha_i+beta_i)/2) + 1 nodes integrates exactly; each order's
     rule is computed once (`_hermite_rule`).  The moment is summed from the
-    nodes with `math.fsum`, independently of `gaussian_moment`.
+    nodes with `math.fsum`, independently of `gaussian_moment`.  When every
+    alpha_i + beta_i is even, OverflowError where the value lies below the
+    normal double range; otherwise the value is 0 and so returned.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
@@ -164,30 +177,37 @@ def oscillator_coefficient_quadrature(
         s = math.hypot(1.0, ai)
         terms = (wk * ((ai * x) ** al * x**be) for wk, x in zip(w, (uk / s for uk in u)))
         out *= math.fsum(terms) * math.sqrt(ai) / s
+    if all((al + be) % 2 == 0 for al, be in zip(alpha, beta)):
+        _normal(out, "the quadrature coefficient")
     return out
 
 
 def oscillator_bound(a: Sequence[float]) -> float:
-    """prod (a_i + 1/a_i)^{-1/2}, the uniform torus decay envelope."""
-    return math.prod((ai + 1.0 / ai) ** -0.5 for ai in _check_torus(a))
+    """prod (a_i + 1/a_i)^{-1/2}, the uniform torus decay envelope;
+    OverflowError where it lies below the normal double range."""
+    return _normal(
+        math.prod((ai + 1.0 / ai) ** -0.5 for ai in _check_torus(a)), "the torus bound"
+    )
 
 
 def h_kernel(a: Sequence[float], b: Sequence[float]) -> float:
-    """H(a, b) = prod_{i<=p} prod_{j<=n} (b_i^2 + b_i^-2 + a_j^2 + a_j^-2)^{-1/2}."""
+    """H(a, b) = prod_{i<=p} prod_{j<=n} (b_i^2 + b_i^-2 + a_j^2 + a_j^-2)^{-1/2};
+    OverflowError where it lies below the normal double range."""
     a = _check_torus(a)
     b = _check_torus(b)
     out = 1.0
     for bi in b:
         for aj in a:
             out /= math.hypot(bi, 1.0 / bi, aj, 1.0 / aj)
-    return out
+    return _normal(out, "H(a, b)")
 
 
 def dual_pair_bound(a: Sequence[float], b: Sequence[float], p: int, q: int) -> float:
     """Matrix-coefficient envelope for the dual pair (O(p,q), Sp(2n)).
 
     H(a, b) with the extra prod_j (a_j + 1/a_j)^{-(q-p)/2} factor carried by
-    the q - p extra rows of the orthogonal form.
+    the q - p extra rows of the orthogonal form.  OverflowError where it
+    lies below the normal double range.
     """
     if not (0 <= p <= q):
         raise DomainError("need 0 <= p <= q")
@@ -197,4 +217,4 @@ def dual_pair_bound(a: Sequence[float], b: Sequence[float], p: int, q: int) -> f
     out = h_kernel(a, b) if p > 0 else 1.0
     for aj in a:
         out *= (aj + 1.0 / aj) ** ((p - q) / 2)
-    return out
+    return _normal(out, "the dual-pair bound")

@@ -3,13 +3,16 @@
 Everything in this module is exact: entries are `fractions.Fraction` and no
 tolerance is involved anywhere.  Floats are rejected at construction time
 because the partial-sum orders and the transfer algorithm hinge on exact
-ties.
+ties.  The range tests (`_in_range`, behind the five predicates of
+`induction`) build no Fraction vector: they compare the prefix sums of
+lambda - c*1 + k*rho with 0 as ints over one common denominator D.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -170,19 +173,28 @@ class Symplectic(_record("Symplectic", "n")):
 GroupDescriptor = Union[Orthogonal, Symplectic]
 
 
+def _two_rho(g: GroupDescriptor) -> range:
+    """2*rho(g) on ints: (p+q-2, p+q-4, ..., q-p) for O(p,q), (2n, ..., 2) for Sp(2n)."""
+    if isinstance(g, Orthogonal):
+        if g.p < 1:
+            raise DomainError("rho(O(p,q)) needs p >= 1")
+        return range(g.p + g.q - 2, g.q - g.p - 2, -2)
+    return range(2 * g.n, 0, -2)
+
+
 def rho(g: GroupDescriptor) -> ExponentVector:
     """Half sum of the positive restricted roots, as an exact vector.
 
     O(p,q): ((p+q-2)/2, (p+q-4)/2, ..., (q-p)/2), length p.
     Sp(2n): (n, n-1, ..., 1).
     """
-    if isinstance(g, Orthogonal):
-        if g.p < 1:
-            raise DomainError("rho(O(p,q)) needs p >= 1")
-        return ExponentVector(
-            Fraction(g.p + g.q - 2 * i, 2) for i in range(1, g.p + 1)
-        )
-    return ExponentVector(range(g.n, 0, -1))
+    return ExponentVector(Fraction(r, 2) for r in _two_rho(g))
+
+
+def _check_rank(lam, g: GroupDescriptor) -> None:
+    if len(lam) != g.rank:
+        name = "p" if isinstance(g, Orthogonal) else "n"
+        raise DomainError(f"lambda must have length {name}={g.rank}")
 
 
 def rho_shift(
@@ -192,11 +204,41 @@ def rho_shift(
 
     lam must have the length of rank(g): p for O(p,q), n for Sp(2n).
     """
-    if len(lam) != g.rank:
-        name = "p" if isinstance(g, Orthogonal) else "n"
-        raise DomainError(f"lambda must have length {name}={g.rank}")
+    _check_rank(lam, g)
     c = as_fraction(c)
     return ExponentVector(x - c + k * r for x, r in zip(lam, rho(g)))
+
+
+def _in_range(
+    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int, strict: bool
+) -> bool:
+    """lam - c*1 + k*rho(g) < 0 (strict) or <= 0 in the prefix-sum order.
+
+    Same verdict and errors, in the same order, as strictly_ or
+    weakly_dominated(rho_shift(lam, g, c, k)), but decided on ints: the
+    prefix sums of D*(lam - c*1 + k*rho(g)), D the lcm of 2 and every
+    denominator, up to the first that fails.
+    """
+    _check_rank(lam, g)
+    c = as_fraction(c)
+    two_rho = _two_rho(g)
+    if not isinstance(lam, ExponentVector):
+        # a list or tuple: rational entries (bools too) as rho_shift's
+        # arithmetic takes them; any other entry fails as it does there
+        lam = ExponentVector(
+            Fraction(x) if isinstance(x, numbers.Rational) else x - c + k * Fraction(r, 2)
+            for x, r in zip(lam, two_rho)
+        )
+    D0, xs = lam.scaled()
+    D = math.lcm(D0, 2, c.denominator)
+    m, h, cD = D // D0, k * (D // 2), c.numerator * (D // c.denominator)
+    limit = 0 if strict else 1  # a failing integer sum is >= 0, or >= 1
+    s = 0
+    for x, r in zip(xs, two_rho):
+        s += x * m + h * r - cD
+        if s >= limit:
+            return False
+    return True
 
 
 class CoverInfo(NamedTuple):

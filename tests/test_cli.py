@@ -144,6 +144,11 @@ RANGE_CASES = [
     ("odd", "sp2o", 2, 3, 3, "-1,-1,-1", 2, "error: odd range test applies to the o2sp direction\n"),
     ("odd", "o2sp", 2, 2, 3, "-1,-1", 2, "error: p+q must be odd\n"),
     ("ss", "sp2o", 2, 3, 3, "-1,-1", 2, "error: lambda must have length n=3\n"),
+    # a prefix sum exactly 0, for <= 0 and for < 0; 0 reached through thirds
+    ("ss", "sp2o", 2, 3, 1, "-1/2", 0, "(-1/2) - ((2+3)/2 - 1 - 1)*1 + rho(Sp(2)) <= 0: true\n"),
+    ("semistable", "sp2o", 2, 3, 1, "1/2", 1, "(1/2) - (2+3)/2*1 + 2*rho(Sp(2)) < 0: false\n"),
+    ("semistable", "o2sp", 2, 3, 3, "-1/3,7/3", 1, "(-1/3,7/3) - 3*1 + 2*rho(O(2,3)) < 0: false\n"),
+    ("ss", "o2sp", 2, 3, 3, "-1", 2, "error: lambda must have length p=2\n"),
 ]
 
 
@@ -294,6 +299,25 @@ def test_oscillator_huge_torus_entry(capsys):
     )
     assert code == 0
     assert out == "value: 2.50662827463e-100\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "1e308", "--alpha", "1", "--beta", "1", "--check-quadrature"],
+    ["--a", "1e-200,1e-200", "--alpha", "2,2", "--beta", "0,0"],
+])
+def test_oscillator_below_the_double_range_is_an_error(capsys, argv):
+    code, out, err = invoke(capsys, "oscillator", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: numerical overflow:")
+    assert "below the normal double range" in err
+
+
+def test_oscillator_odd_moment_is_an_exact_zero(capsys):
+    code, out, _ = invoke(
+        capsys, "oscillator", "--a", "1e308,2", "--alpha", "1,0", "--beta", "1,1",
+        "--check-quadrature",
+    )
+    assert (code, out) == (0, "value: 0\nquadrature: 0\nrel_error: 0\n")
 
 
 def test_verify_integral_json_deterministic(capsys):

@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quantind import induction
 from quantind import (
@@ -24,10 +25,13 @@ from quantind import (
     parabolic_infchar_match,
     predict_associated_variety,
     rho,
+    strictly_dominated,
     validate_chain,
     validate_one_step_O,
     validate_one_step_Sp,
+    weakly_dominated,
 )
+from quantind.vectors import rho_shift
 
 
 def ev(*entries):
@@ -72,6 +76,133 @@ def test_odd_range():
     assert in_odd_range_O_to_Sp(ev(-1), 1, 2, 2)
     with pytest.raises(DomainError):
         in_odd_range_O_to_Sp(ev(-1, -1), 2, 2, 3)  # p+q even
+
+
+# each range predicate with the composition it replaced: the Fraction vector
+# lam - c*1 + k*rho(g) from rho_shift, then its dominance test
+RANGE_REFERENCES = [
+    (in_semistable_O_to_Sp,
+     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), n, 2), strictly_dominated),
+    (in_semistable_Sp_to_O,
+     lambda lam, p, q, n: rho_shift(lam, Symplectic(n), F(p + q, 2), 2), strictly_dominated),
+    (in_ss_O_to_Sp,
+     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), F(2 * n - (p + q), 2), 1),
+     weakly_dominated),
+    (in_ss_Sp_to_O,
+     lambda lam, p, q, n: rho_shift(lam, Symplectic(n), F(p + q, 2) - n - 1, 1),
+     weakly_dominated),
+    (in_odd_range_O_to_Sp,
+     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), F(2 * n - (p + q - 1), 2), 1),
+     weakly_dominated),
+]
+SP_FIRST = (in_semistable_Sp_to_O, in_ss_Sp_to_O)
+
+
+def reference_verdict(pred, lam, p, q, n):
+    _, shift, dominated = next(r for r in RANGE_REFERENCES if r[0] is pred)
+    return dominated(shift(lam, p, q, n))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_range_predicates_match_the_fraction_composition(data):
+    pred, shift, dominated = data.draw(st.sampled_from(RANGE_REFERENCES))
+    sp_first = pred in SP_FIRST
+    p = data.draw(st.integers(0 if sp_first else 1, 40), label="p")
+    q = data.draw(st.integers(p, 40), label="q")
+    if pred is in_odd_range_O_to_Sp:
+        assume((p + q) % 2 == 1)
+        n = data.draw(st.integers((p + q - 1) // 2, 40), label="n")
+    else:
+        n = data.draw(st.integers(1, 40), label="n")
+    rank = n if sp_first else p
+    # prefix sums of the shifted vector, each -a/d in [-2, 0] with d one of
+    # 1, 2, 3, 6 (exact zeros and ties) or of up to three drawn <= 10**6
+    dens = [1, 2, 3, 6] + data.draw(st.lists(st.integers(1, 10**6), max_size=3))
+    picks = data.draw(st.lists(st.integers(0, 2**40), min_size=rank, max_size=rank))
+    sums = []
+    for x in picks:
+        d = dens[x % len(dens)]
+        sums.append(F(-(x // len(dens) % (2 * d + 1)), d))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, rank - 1))
+        sums[i] = F(1, data.draw(st.integers(1, 10**6)))
+    # lam is chosen so that its shifted vector has exactly these prefix sums
+    offset = shift(ExponentVector([0] * rank), p, q, n)
+    steps = [b - a for a, b in zip([0] + sums, sums)]
+    lam = ExponentVector(x - o for x, o in zip(steps, offset))
+    shifted = shift(lam, p, q, n)
+    assert list(shifted.prefix_sums()) == sums
+    want = dominated(shifted)
+    assert pred(lam, p=p, q=q, n=n) is want
+    assert pred(list(lam), p=p, q=q, n=n) is want
+
+
+BIG = 2**64 + 1
+
+
+# (predicate, lam, p, q, n, verdict); the verdicts are those of the
+# Fraction composition, checked again in the test
+RANGE_ROWS = [
+    (in_ss_O_to_Sp, [-1], 1, 2, 1, True),  # the prefix sum is exactly 0
+    (in_ss_Sp_to_O, [F(-1, 2)], 2, 3, 1, True),  # 0
+    (in_semistable_Sp_to_O, [F(1, 2)], 2, 3, 1, False),  # 0, but strict
+    (in_semistable_O_to_Sp, [F(-1, 3), F(7, 3)], 2, 3, 3, False),  # 0 through thirds
+    (in_semistable_O_to_Sp, [F(-1, 3), F(13, 6)], 2, 3, 3, True),
+    (in_odd_range_O_to_Sp, [F(-3, 2), F(-1, 2)], 2, 3, 2, True),  # (0, 0)
+    (in_odd_range_O_to_Sp, [F(-3, 2), F(-5, 14)], 2, 3, 2, False),
+    (in_ss_O_to_Sp, [-1, -1], 2, 3, 3, True),
+    (in_ss_O_to_Sp, [3, 0], 2, 3, 3, False),
+    # one part in 2**64 + 1 either side of the boundary
+    (in_ss_O_to_Sp, [-1 + F(1, BIG), -F(1, BIG)], 2, 3, 3, False),
+    (in_ss_O_to_Sp, [-1 - F(1, BIG), F(1, BIG)], 2, 3, 3, True),  # (-1/BIG, 0)
+    (in_ss_O_to_Sp, [-1 - F(1, BIG), F(2, BIG)], 2, 3, 3, False),
+    (in_semistable_O_to_Sp, [-F(1, BIG), 2 + F(1, BIG)], 2, 3, 3, False),  # (-1/BIG, 0)
+    (in_semistable_O_to_Sp, [-F(1, BIG), 2], 2, 3, 3, True),
+    (in_ss_Sp_to_O, [F(-1, 2) + F(1, BIG)], 2, 3, 1, False),
+    (in_ss_Sp_to_O, [F(-1, 2) - F(1, BIG)], 2, 3, 1, True),
+    # n is not checked on the O side: n = 1/3 makes c = -7/6, whose
+    # denominator 3 lambda does not have
+    (in_ss_O_to_Sp, [-1], 1, 2, F(1, 3), False),  # (2/3)
+    (in_ss_O_to_Sp, [-2], 1, 2, F(1, 3), True),  # (-1/3)
+    (in_semistable_O_to_Sp, [F(-1, 2)], 1, 2, F(1, 5), False),  # (3/10)
+]
+
+
+@pytest.mark.parametrize("pred,lam,p,q,n,want", RANGE_ROWS)
+def test_range_predicates_pinned_rows(pred, lam, p, q, n, want):
+    assert reference_verdict(pred, ExponentVector(lam), p, q, n) is want
+    # an ExponentVector, or a list or tuple of its entries as ints or Fractions
+    for form in (ExponentVector(lam), list(lam), tuple(lam), [F(x) for x in lam]):
+        assert pred(form, p=p, q=q, n=n) is want
+        args = (form, n, p, q) if pred in SP_FIRST else (form, p, q, n)
+        assert pred(*args) is want
+
+
+@pytest.mark.parametrize("call,error,text", [
+    # the length is checked before any entry or the group's rho
+    (lambda: in_ss_O_to_Sp([0.5], 2, 3, 3), DomainError, "lambda must have length p=2"),
+    (lambda: in_ss_Sp_to_O((F(1, 2),), 2, 3, 3), DomainError, "lambda must have length n=2"),
+    (lambda: in_semistable_O_to_Sp([-1], 0, 3, 3), DomainError, "lambda must have length p=0"),
+    (lambda: in_semistable_O_to_Sp([], 0, 3, 3), DomainError, r"rho\(O\(p,q\)\) needs p >= 1"),
+    # then c, then the entries; a float entry fails with the value rho_shift
+    # computed for it: 0.5 - 1/2 + 1/2
+    (lambda: in_semistable_O_to_Sp([0.5], 1, 2, 2.5), DomainError,
+     "exact rational required, got 2.5"),
+    (lambda: in_ss_O_to_Sp([-1, 0.5], 2, 3, 3), DomainError,
+     "exact rational required, got 0.5$"),
+    (lambda: in_ss_O_to_Sp(["-1", 0], 2, 3, 3), TypeError,
+     "unsupported operand"),
+    # the groups are checked first, in each predicate's order
+    (lambda: in_ss_O_to_Sp([0.5], 3, 2, 3), DomainError, "requires p <= q"),
+    (lambda: in_ss_Sp_to_O([0.5], 0, 2, 3), DomainError, "requires n >= 1"),
+    (lambda: in_ss_Sp_to_O([0.5], 1, 3, 2), DomainError, "requires p <= q"),
+    (lambda: in_odd_range_O_to_Sp([0.5], 1, 3, 3), DomainError, r"p\+q must be odd"),
+    (lambda: in_odd_range_O_to_Sp([0.5], 2, 5, 2), DomainError, r"requires p\+q <= 2n\+1"),
+])
+def test_range_predicates_errors_in_order(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,30 @@ def test_dual_pair_bound_monotone_in_a():
     grid = np.linspace(1.0, 8.0, 15)
     vals = [dual_pair_bound([a], [2.0], 1, 3) for a in grid]
     assert all(x > y for x, y in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oscillator_coefficient([1e308], [1], [1]),
+    lambda: oscillator_coefficient_quadrature([1e308], [1], [1]),
+    lambda: oscillator_coefficient([1e-200, 1e-200], [2, 2], [0, 0]),
+    lambda: oscillator_coefficient_quadrature([1e-200, 1e-200], [2, 2], [0, 0]),
+    lambda: oscillator_bound([1e300] * 5),
+    lambda: oscillator_bound([1e300, 1e300, 1e16]),  # 1e-308: subnormal, not 0
+    lambda: oscillator_bound([1e-310]),  # 1 / a is inf
+    lambda: h_kernel([1e200] * 2, [1e200] * 2),
+    lambda: dual_pair_bound([1e300], [1e300], 1, 3),
+    lambda: dual_pair_bound([1e150], [1.0], 1, 9),  # H is normal, the extra factor not
+])
+def test_values_below_the_normal_double_range_raise(call):
+    # never a silent 0.0 or a subnormal with lost digits
+    with pytest.raises(OverflowError, match="below the normal double range"):
+        call()
+
+
+def test_small_normal_values_and_odd_moments_still_return():
+    assert oscillator_bound([1e300, 1e300, 1e15]) == pytest.approx(1e-307, rel=1e-12)
+    assert h_kernel([1e300], [1.0]) == pytest.approx(1e-300, rel=1e-12)
+    # an odd alpha_i + beta_i makes the value exactly 0, however small the rest
+    assert oscillator_coefficient([1e308, 2.0], [1, 0], [1, 1]) == 0.0
+    assert oscillator_coefficient_quadrature([1e308, 2.0], [1, 0], [1, 1]) == 0.0
+    assert oscillator_coefficient_quadrature([3.0], [0], [1]) == 0.0

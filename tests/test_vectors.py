@@ -18,6 +18,7 @@ from quantind import (
     transpose,
     weakly_dominated,
 )
+from quantind.vectors import _fmt_vec
 
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -73,6 +74,24 @@ def test_rho_values():
     assert rho(Orthogonal(2, 3)) == ExponentVector([F(3, 2), F(1, 2)])
     assert rho(Symplectic(3)) == ExponentVector([3, 2, 1])
     assert rho(Orthogonal(1, 1)) == ExponentVector([0])
+
+
+def test_rho_matches_the_closed_forms():
+    # rho is built from the integer 2*rho; its entries, repr and printed form
+    # are those of the closed forms
+    cases = [(Orthogonal(p, q), [F(p + q - 2 * i, 2) for i in range(1, p + 1)])
+             for q in range(1, 13) for p in range(1, q + 1)]
+    cases += [(Symplectic(n), [F(k) for k in range(n, 0, -1)]) for n in range(1, 13)]
+    for g, want in cases:
+        r = rho(g)
+        assert list(r) == want and all(type(x) is F for x in r)
+        assert str(r) == f"ExponentVector({[str(x) for x in want]})"
+        assert _fmt_vec(r) == "(" + ",".join(map(str, want)) + ")"
+    assert str(rho(Orthogonal(2, 3))) == "ExponentVector(['3/2', '1/2'])"
+    assert _fmt_vec(rho(Orthogonal(3, 5))) == "(3,2,1)"
+    assert _fmt_vec(rho(Symplectic(3))) == "(3,2,1)"
+    with pytest.raises(DomainError, match=r"rho\(O\(p,q\)\) needs p >= 1"):
+        rho(Orthogonal(0, 3))
 
 
 @given(st.integers(1, 10), st.integers(0, 10))
