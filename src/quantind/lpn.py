@@ -7,9 +7,10 @@ returns -mu.  The breakpoints are the strict suffix minima of the running
 caps -sum(lambda[:j]).  All arithmetic is exact: it runs on Python ints,
 D lambda and its caps and block totals, with D the lcm of lambda's
 denominators, and each public field (budgets, block totals, mu, the
-output) is built once as Fraction(v, D).  `check_assignment` and
-`EtaAssignment.eta` stay in Fractions: the independent check and the
-display.
+output) is built once as Fraction(v, D).  One core, `_greedy`, gives the
+block totals and the row sums D mu from D and D lambda: `lpn` builds its
+fields from it, the transfer bounds their output.  `check_assignment` and
+`EtaAssignment.eta` stay in Fractions: the independent check and the display.
 
 `lpn_oracle` re-derives the result by enumerating the feasible constraint
 structures (equality vs. saturated block at each breakpoint) and taking the
@@ -82,7 +83,8 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
     [j_s + 1, p].  The recursion always terminates with j_m = p and the
     budgets strictly increase.
     """
-    D, indices, budgets = _breakpoints(lam, p)
+    D, xs = lam.scaled()
+    _, indices, _, budgets = _blocks(xs, p)
     return BreakpointSequence(tuple(indices), _over(budgets, D))
 
 
@@ -96,26 +98,17 @@ def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
     in order gives the row sums `_lex_max_rows`; eta itself is built only
     when read.
     """
-    n, D, indices, widths, budgets = _blocks(lam, p, n)
-    totals: list[int] = []
-    cases: list[str] = []
-    assigned = 0
-    for w, budget in zip(widths, budgets):
-        remaining, full = budget - assigned, n * w * D
-        saturated = full < remaining
-        totals.append(full if saturated else remaining)
-        cases.append("ar3" if saturated else "ar2")
-        assigned += totals[-1]
-    mu = _lex_max_rows(totals, widths, n, D)
-    bps = BreakpointSequence(tuple(indices), _over(budgets, D))
-    return EtaAssignment(_over(mu, D), _over(totals, D), bps, tuple(cases))
+    return lpn(lam, p, n).witness
 
 
 def lpn(lam: ExponentVector, p: int | None, n: int) -> LpnResult:
-    """L(p,n)(lambda) = -mu with the greedy witness attached."""
-    witness = greedy_eta(lam, p, n)
-    mu = ExponentVector(witness.mu)
-    return LpnResult(mu=mu, output=-mu, witness=witness)
+    """L(p,n)(lambda) = -mu with the greedy witness attached (same mu tuple)."""
+    D, xs = lam.scaled()
+    indices, budgets, totals, cases, rows = _greedy(D, xs, p, n)
+    mu = ExponentVector._from_ints(D, rows)
+    bps = BreakpointSequence(tuple(indices), _over(budgets, D))
+    witness = EtaAssignment(mu.entries, _over(totals, D), bps, tuple(cases))
+    return LpnResult(mu, ExponentVector._from_ints(D, [-v for v in rows]), witness)
 
 
 def check_assignment(lam: ExponentVector, assignment: EtaAssignment) -> bool:
@@ -163,7 +156,8 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     maximizes (mu_1, mu_2, ...) lexicographically given the implied block
     totals.  Small instances only: at most ORACLE_MAX_CELLS cells p*n.
     """
-    n, D, indices, widths, budgets = _blocks(lam, p, n)
+    D, xs = lam.scaled()
+    n, indices, widths, budgets = _blocks(xs, p, n)
     cells = len(lam) * n
     if cells > ORACLE_MAX_CELLS:
         raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {cells}")
@@ -189,20 +183,22 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
                 best = mu
     if best is None:
         raise DomainError("no feasible constraint structure (lambda not < 0?)")
-    return ExponentVector(Fraction(-v, D) for v in best)
+    return ExponentVector._from_ints(D, [-v for v in best])
 
 
-def _breakpoints(lam: ExponentVector, p: int | None):
-    """`breakpoints` on ints: D, the indices and the budgets times D.
+def _blocks(xs: list[int], p: int | None, n: int = 1):
+    """From D*lambda: the checked n (1 for `breakpoints`), the breakpoint
+    indices, the block widths and the budgets times D, with the errors in
+    the order they are reported.
 
     j is a greatest suffix minimizer exactly when every later cap is
     larger: one right-to-left pass finds these minima.  Every cap must be
     positive: this is the lambda < 0 check of `lpn`.
     """
-    if p is not None and _size(p) != len(lam):
-        raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
-    D, scaled = lam.scaled()
-    caps = [-s for s in accumulate(scaled)]  # caps[j-1] = -D sum(lambda[:j])
+    n = _size(n)
+    if p is not None and _size(p) != len(xs):
+        raise DomainError(f"lambda has length {len(xs)}, expected p={p}")
+    caps = [-s for s in accumulate(xs)]  # caps[j-1] = -D sum(lambda[:j])
     if min(caps) <= 0:
         raise DomainError("lambda must satisfy lambda < 0 (all prefix sums negative)")
     indices = [len(caps)]
@@ -210,18 +206,27 @@ def _breakpoints(lam: ExponentVector, p: int | None):
         if caps[j - 1] < caps[indices[-1] - 1]:
             indices.append(j)
     indices.reverse()
-    return D, indices, [caps[j - 1] for j in indices]
-
-
-def _blocks(lam: ExponentVector, p: int | None, n: int):
-    """The checked n, then D, the breakpoint indices, the block widths and
-    the budgets times D, in the order the errors are reported."""
-    n = _size(n)
-    D, indices, budgets = _breakpoints(lam, p)
     if n < 1:
         raise DomainError("n must be >= 1")
     widths = [j - prev for prev, j in zip([0] + indices[:-1], indices)]
-    return n, D, indices, widths, budgets
+    return n, indices, widths, [caps[j - 1] for j in indices]
+
+
+def _greedy(D: int, xs: list[int], p: int | None, n: int):
+    """The greedy on ints, from D and D*lambda: the breakpoint indices, the
+    budgets, the block totals and cases, and the row sums D*mu, each value
+    over D.  `lpn` and the transfer bounds both run this."""
+    n, indices, widths, budgets = _blocks(xs, p, n)
+    totals: list[int] = []
+    cases: list[str] = []
+    assigned = 0
+    for w, budget in zip(widths, budgets):
+        remaining, full = budget - assigned, n * w * D
+        saturated = full < remaining
+        totals.append(full if saturated else remaining)
+        cases.append("ar3" if saturated else "ar2")
+        assigned += totals[-1]
+    return indices, budgets, totals, cases, _lex_max_rows(totals, widths, n, D)
 
 
 def _lex_max_rows(totals: list[int], widths: list[int], n: int, D: int) -> list[int]:

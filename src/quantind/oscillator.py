@@ -164,19 +164,23 @@ def oscillator_coefficient_quadrature(
     alpha_i + beta_i in u, which Gauss-Hermite with
     floor((alpha_i+beta_i)/2) + 1 nodes integrates exactly; each order's
     rule is computed once (`_hermite_rule`).  The moment is summed from the
-    nodes with `math.fsum`, independently of `gaussian_moment`.  When every
-    alpha_i + beta_i is even, OverflowError where the value lies below the
-    normal double range; otherwise the value is 0 and so returned.
+    nodes with `math.fsum`, independently of `gaussian_moment`; the factors
+    and their product are frexp mantissas times powers of two up to one
+    `ldexp`.  When every alpha_i + beta_i is even, OverflowError where the
+    value lies outside the normal double range; otherwise the value is 0.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
     beta = _check_index(beta, len(a), "beta")
-    out = 1.0
+    out, exp2 = 1.0, 0  # the product is out * 2**exp2, out a frexp mantissa
     for ai, al, be in zip(a, alpha, beta):
         u, w = _hermite_rule((al + be) // 2 + 1)
         s = math.hypot(1.0, ai)
         terms = (wk * ((ai * x) ** al * x**be) for wk, x in zip(w, (uk / s for uk in u)))
-        out *= math.fsum(terms) * math.sqrt(ai) / s
+        (f, ef), (r, er), (t, et) = map(math.frexp, (math.fsum(terms), math.sqrt(ai), s))
+        out, eo = math.frexp(out * (f * r / t))
+        exp2 += ef + er - et + eo
+    out = math.ldexp(out, exp2)
     if all((al + be) % 2 == 0 for al, be in zip(alpha, beta)):
         _normal(out, "the quadrature coefficient")
     return out

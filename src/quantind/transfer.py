@@ -3,19 +3,22 @@
 Given an exact bound lambda on the real parts of the leading exponents on
 one side, these maps return the weak matrix-coefficient bound on the other
 side, together with the closed-form specializations at the boundary of the
-admissible region.  Preconditions are exact rational tests with no slack.
+admissible region.  Preconditions are exact rational tests with no slack, in
+Fractions; each bound is built once from L(p,n)'s integer row sums D mu.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .lpn import lpn
+from .lpn import _greedy
 from .vectors import (
     DomainError,
     ExponentVector,
     Orthogonal,
     Symplectic,
+    _size,
     rho_shift,
     strictly_dominated,
 )
@@ -30,10 +33,10 @@ def bound_O_to_Sp(p: int, q: int, n: int, lam: ExponentVector) -> ExponentVector
     g = Orthogonal(p, q)
     if p < 1:
         raise DomainError("need p >= 1")
-    shifted = rho_shift(lam, g, n, 2)
-    if not strictly_dominated(shifted):
-        raise DomainError("not in semistable range for this transfer")
-    return lpn(shifted, p, n).output.shift(Fraction(p - q, 2))
+    D, mu = _row_sums(rho_shift(lam, g, n, 2), p, n)
+    E = math.lcm(D, 2)  # entry i is (-D mu_i (E/D) + (p-q) E/2) / E
+    m, h = E // D, (g.p - g.q) * (E // 2)
+    return ExponentVector._from_ints(E, [h - v * m for v in mu])
 
 
 def bound_Sp_to_O(n: int, p: int, q: int, lam: ExponentVector) -> ExponentVector:
@@ -47,10 +50,16 @@ def bound_Sp_to_O(n: int, p: int, q: int, lam: ExponentVector) -> ExponentVector
     Orthogonal(p, q)
     if p < 1:
         raise DomainError("need p >= 1")
-    shifted = rho_shift(lam, g, Fraction(p + q, 2), 2)
+    D, mu = _row_sums(rho_shift(lam, g, Fraction(p + q, 2), 2), n, p)
+    return ExponentVector._from_ints(D, [-v for v in mu])
+
+
+def _row_sums(shifted: ExponentVector, p: int, n: int) -> tuple[int, list[int]]:
+    """D and the row sums D*mu of L(p,n)(shifted), once shifted < 0 holds."""
     if not strictly_dominated(shifted):
         raise DomainError("not in semistable range for this transfer")
-    return lpn(shifted, n, p).output
+    D, xs = shifted.scaled()
+    return D, _greedy(D, xs, p, n)[-1]
 
 
 def ss_bound_O_to_Sp(p: int, q: int, n: int) -> ExponentVector:
@@ -60,12 +69,10 @@ def ss_bound_O_to_Sp(p: int, q: int, n: int) -> ExponentVector:
     n >= p; truncated to (-(p+q)/2, ..., -(p+q-2n+2)/2) when n < p.
     """
     Orthogonal(p, q)
+    n = _size(n)
     if p < 1 or n < 1:
         raise DomainError("need p >= 1 and n >= 1")
-    head = [Fraction(-(p + q) + 2 * k, 2) for k in range(min(p, n))]
-    if n >= p:
-        head += [Fraction(-(q - p), 2)] * (n - p)
-    return ExponentVector(head)
+    return ExponentVector(Fraction(2 * min(k, p) - p - q, 2) for k in range(n))
 
 
 def ss_bound_Sp_to_O(n: int, p: int, q: int) -> ExponentVector:
@@ -78,9 +85,7 @@ def ss_bound_Sp_to_O(n: int, p: int, q: int) -> ExponentVector:
     Orthogonal(p, q)
     if p < 1:
         raise DomainError("need p >= 1")
-    return ExponentVector(-n + k for k in range(p)) if p <= n else ExponentVector(
-        list(range(-n, 0)) + [0] * (p - n)
-    )
+    return ExponentVector(min(k - n, 0) for k in range(p))
 
 
 def odd_case_bound(p: int, q: int, n: int) -> ExponentVector:
@@ -89,12 +94,11 @@ def odd_case_bound(p: int, q: int, n: int) -> ExponentVector:
     (-(p+q-1)/2, -(p+q-3)/2, ..., -(q-p+1)/2, then n-p copies of -(q-p)/2).
     """
     Orthogonal(p, q)
+    n = _size(n)
     if p < 1 or n < 1:
         raise DomainError("need p >= 1 and n >= 1")
     if (p + q) % 2 == 0:
         raise DomainError("p+q must be odd")
     if p + q > 2 * n + 1:
         raise DomainError("requires p+q <= 2n+1")
-    head = [Fraction(-(p + q - 1) + 2 * k, 2) for k in range(p)]
-    head += [Fraction(-(q - p), 2)] * (n - p)
-    return ExponentVector(head)
+    return ExponentVector(Fraction(2 * k - p - q + 1 if k < p else p - q, 2) for k in range(n))

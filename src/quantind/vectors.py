@@ -61,6 +61,13 @@ class ExponentVector:
             raise DomainError("ExponentVector needs dimension >= 1")
         object.__setattr__(self, "entries", ents)
 
+    @classmethod
+    def _from_ints(cls, D: int, ints: list[int]) -> "ExponentVector":
+        """Entries Fraction(v, D), v in ints (at least one), each built once."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", tuple(Fraction(v, D) for v in ints))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ExponentVector is immutable")
 

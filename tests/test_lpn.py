@@ -319,6 +319,9 @@ def assert_matches_transcription(lam, n):
     assert w.block_structure == (indices, budgets)
     assert (w.totals, w.cases, w.mu) == (totals, cases, mu)
     assert result.output == ExponentVector(-m for m in mu)
+    # mu is built once: the vector holds the witness's own tuple
+    assert result.mu == ExponentVector(mu) and result.mu.entries is w.mu
+    assert greedy_eta(lam, len(lam), n) == w
     fields = w.mu + w.totals + w.block_structure.budgets
     assert all(type(x) is F for x in fields)
     assert all(type(x) is F for x in result.mu.entries + result.output.entries)

@@ -257,3 +257,22 @@ def test_small_normal_values_and_odd_moments_still_return():
     assert oscillator_coefficient([1e308, 2.0], [1, 0], [1, 1]) == 0.0
     assert oscillator_coefficient_quadrature([1e308, 2.0], [1, 0], [1, 1]) == 0.0
     assert oscillator_coefficient_quadrature([3.0], [0], [1]) == 0.0
+
+
+def test_quadrature_keeps_a_normal_value_whose_factor_is_not():
+    # the first coordinate's factor is about 1e-350, below the double range,
+    # and its product with the second is normal: carried as mantissas and
+    # powers of two, it lands 25 ulps from the 60-digit closed form (the
+    # log-space closed form, 604); it used to raise OverflowError
+    a, alpha, beta = [1e-140, 1.0], [2, 150], [0, 0]
+    pinned = float.fromhex("0x1.e97d672af5ce0p-802")  # 7.168812272230881e-242
+    got = oscillator_coefficient_quadrature(a, alpha, beta)
+    assert abs(got - pinned) <= 4 * math.ulp(pinned)
+    ref = closed_form_60_digits(a, alpha, beta)
+    assert abs(Decimal(got) - ref) <= 32 * Decimal(math.ulp(pinned))
+    assert got == pytest.approx(oscillator_coefficient(a, alpha, beta), rel=1e-12)
+    # the other way: two factors of 9.3e156 whose product passes the double
+    # range raise, as the closed form does, where the product used to be inf
+    for f in (oscillator_coefficient, oscillator_coefficient_quadrature):
+        with pytest.raises(OverflowError):
+            f([1.0, 1.0], [0, 0], [200, 200])
