@@ -107,12 +107,8 @@ def in_ss_Sp_to_O(lam: ExponentVector, n: int, p: int, q: int) -> bool:
 def in_odd_range_O_to_Sp(lam: ExponentVector, p: int, q: int, n: int) -> bool:
     """Odd-parity relaxation: lambda - (n - (p+q-1)/2)*1 + rho(O(p,q)) <= 0."""
     g = Orthogonal(p, q)
-    if (p + q) % 2 == 0:
-        raise DomainError("p+q must be odd")
-    if p + q > 2 * n + 1:
-        raise DomainError("requires p+q <= 2n+1")
-    c = Fraction(2 * n - (p + q - 1), 2)
-    return _in_range(lam, g, c, 1, False)
+    transfer._check_odd(p, q, n)
+    return _in_range(lam, g, Fraction(2 * n - (p + q - 1), 2), 1, False)
 
 
 # (test, dir) -> (predicate, inequality), the template filled with

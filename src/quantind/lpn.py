@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from typing import NamedTuple
 
-from .vectors import DomainError, ExponentVector, _size
+from .vectors import DomainError, ExponentVector, _over, _size
 
 ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
@@ -83,9 +83,7 @@ def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence
     [j_s + 1, p].  The recursion always terminates with j_m = p and the
     budgets strictly increase.
     """
-    D, xs = lam.scaled()
-    _, indices, _, budgets = _blocks(xs, p)
-    return BreakpointSequence(tuple(indices), _over(budgets, D))
+    return lpn(lam, p, 1).witness.block_structure
 
 
 def greedy_eta(lam: ExponentVector, p: int | None, n: int) -> EtaAssignment:
@@ -186,10 +184,10 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     return ExponentVector._from_ints(D, [-v for v in best])
 
 
-def _blocks(xs: list[int], p: int | None, n: int = 1):
-    """From D*lambda: the checked n (1 for `breakpoints`), the breakpoint
-    indices, the block widths and the budgets times D, with the errors in
-    the order they are reported.
+def _blocks(xs: list[int], p: int | None, n: int):
+    """From D*lambda: the checked n, the breakpoint indices, the block
+    widths and the budgets times D, with the errors in the order they are
+    reported.
 
     j is a greatest suffix minimizer exactly when every later cap is
     larger: one right-to-left pass finds these minima.  Every cap must be
@@ -249,7 +247,3 @@ def _lex_max_rows(totals: list[int], widths: list[int], n: int, D: int) -> list[
             diff[full + 1] -= part
     return list(accumulate(diff[:n]))
 
-
-def _over(values: list[int], D: int) -> tuple[Fraction, ...]:
-    """The public Fraction fields: each value over D, built once."""
-    return tuple(Fraction(v, D) for v in values)

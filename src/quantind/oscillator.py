@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from typing import Sequence
 
-from .vectors import DomainError
+from .vectors import DomainError, _normal
 
 
 def gaussian_moment(m: int) -> float:
@@ -40,14 +39,6 @@ def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
     return a
 
 
-def _normal(value: float, what: str) -> float:
-    """value where it is a positive normal double, else OverflowError: never
-    a silent 0.0 or a subnormal with lost digits."""
-    if not value >= sys.float_info.min:
-        raise OverflowError(f"{what} is below the normal double range")
-    return value
-
-
 def _check_index(alpha: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != dim:
@@ -65,22 +56,24 @@ def oscillator_coefficient(
         c_{alpha_i, beta_i} * a_i^{alpha_i + 1/2} * (1 + a_i^2)^{-(alpha_i+beta_i+1)/2}
 
     with c the Gaussian moment of order alpha_i + beta_i.  Summed in log
-    space, with (1 + a_i^2)^{1/2} as hypot(1, a_i), so no a_i^2 can overflow.
+    space, with (1 + a_i^2)^{1/2} as hypot(1, a_i), so no a_i^2 can overflow,
+    and log c as the log of the exact double factorial plus log sqrt(2 pi),
+    so no (m-1)!! past the double range is floated.
     Exactly 0.0 when an alpha_i + beta_i is odd; OverflowError where the
     value lies below the normal double range.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
     beta = _check_index(beta, len(a), "beta")
-    log_out = 0.0
+    log_out = len(a) * math.log(2.0 * math.pi) / 2  # each moment's sqrt(2 pi)
     for ai, al, be in zip(a, alpha, beta):
-        c = gaussian_moment(al + be)
-        if c == 0.0:
+        m = al + be
+        if m % 2 == 1:
             return 0.0
         log_out += (
-            math.log(c)
+            math.log(math.prod(range(m - 1, 0, -2)))
             + (al + 0.5) * math.log(ai)
-            - (al + be + 1) * math.log(math.hypot(1.0, ai))
+            - (m + 1) * math.log(math.hypot(1.0, ai))
         )
     return _normal(math.exp(log_out), f"the coefficient e^{log_out:.6g}")
 

@@ -97,8 +97,13 @@ def odd_case_bound(p: int, q: int, n: int) -> ExponentVector:
     n = _size(n)
     if p < 1 or n < 1:
         raise DomainError("need p >= 1 and n >= 1")
+    _check_odd(p, q, n)
+    return ExponentVector(Fraction(2 * k - p - q + 1 if k < p else p - q, 2) for k in range(n))
+
+
+def _check_odd(p: int, q: int, n: int) -> None:
+    """The odd-parity sizes: p+q odd and p+q <= 2n+1, else DomainError."""
     if (p + q) % 2 == 0:
         raise DomainError("p+q must be odd")
     if p + q > 2 * n + 1:
         raise DomainError("requires p+q <= 2n+1")
-    return ExponentVector(Fraction(2 * k - p - q + 1 if k < p else p - q, 2) for k in range(n))

@@ -28,7 +28,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .lpn import lpn
-from .vectors import DomainError, ExponentVector, _record, _size
+from .vectors import DomainError, ExponentVector, _normal, _record, _size
 
 TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
@@ -104,8 +104,14 @@ def converges(lam: ExponentVector, p: int | None, n: int) -> bool:
         raise DomainError(f"lambda has length {len(lam)}, expected p={p}")
     if n < 1:
         raise DomainError("n must be >= 1")
-    D, scaled = lam.scaled()  # on ints: D (lambda - (n-1)*1)
-    return all(m < 0 for m in itertools.accumulate(x + (1 - n) * D for x in scaled))
+    return all(m < 0 for m in _rates(lam, n)[2])
+
+
+def _rates(lam: ExponentVector, n: int):
+    """D, and on ints D (lambda - (n-1)*1) and its prefix sums."""
+    D, scaled = lam.scaled()
+    rates = [x + (1 - n) * D for x in scaled]
+    return D, rates, list(itertools.accumulate(rates))
 
 
 def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
@@ -127,11 +133,7 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     if not all(map(math.isfinite, a)):
         raise DomainError("a entries must be finite")
     [log_value], [rel_error], [T], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
-    value = math.exp(log_value)
-    if not value >= sys.float_info.min:
-        raise OverflowError(
-            f"L(a, lambda) = e^{log_value:.6g} is below the normal double range"
-        )
+    value = _normal(math.exp(log_value), f"L(a, lambda) = e^{log_value:.6g}")
     return IntegralEstimate(value, value * rel_error, T, nodes)
 
 
@@ -141,9 +143,7 @@ def _log_estimate(log_a, lam: ExponentVector):
     log L, its relative error (rule and tail), T and the node count: the
     lambda side once per call, log f(t0), T and the tail in plain loops."""
     p, n = len(lam), len(log_a[0])
-    D, scaled = lam.scaled()  # on ints: D (lambda - (n-1)*1)
-    rates = [x + (1 - n) * D for x in scaled]
-    margins = list(itertools.accumulate(rates))
+    D, rates, margins = _rates(lam, n)
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
@@ -329,17 +329,16 @@ def _iterated(log_a, rates, S):
 
 
 def _ray_logs(ray: RaySpec, lam: ExponentVector):
-    """The t-values of a ray and log L(a(t), lambda) at each, as arrays: one
+    """The t-values of a ray and log L(a(t), lambda) at each: one
     `_log_estimate` pass over log a(t) = t s, so e^{t s} may overflow."""
     if len(ray.t_values) < 3:
         raise DomainError("need at least 3 t_values")
     if len(ray.t_values) > MAX_PANELS:  # a panel per point at least: refused first
         raise DomainError(f"{len(ray.t_values)} points need more than {MAX_PANELS} panels")
-    import numpy as np  # here, so that the exact layers never load it
     log_a = [[t * s for s in ray.direction] for t in ray.t_values]
     if not all(math.isfinite(k) for row in log_a for k in row):
         raise DomainError("t * s overflows")
-    return np.asarray(ray.t_values), np.array(_log_estimate(log_a, lam)[0])
+    return ray.t_values, _log_estimate(log_a, lam)[0]
 
 
 def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
@@ -352,14 +351,14 @@ def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
     L may lie below the double range; a divergent lambda raises DomainError.
     """
     ts, logs = _ray_logs(ray, lam)
-    slopes = (logs[1:] - logs[:-1]) / (ts[1:] - ts[:-1])
+    slopes = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(ts, ts[1:], logs, logs[1:])]
     if len(slopes) < 3:
-        return float(slopes[-1])
-    s0, s1, s2 = slopes[-3], slopes[-2], slopes[-1]
+        return slopes[-1]
+    s0, s1, s2 = slopes[-3:]
     denom = (s2 - s1) - (s1 - s0)
     if denom == 0.0:
-        return float(s2)
-    return float(s2 - (s2 - s1) ** 2 / denom)
+        return s2
+    return s2 - (s2 - s1) ** 2 / denom
 
 
 def check_gr2(
@@ -388,13 +387,13 @@ def check_gr2(
             raise DomainError("ray dimension must equal n")
         rate = _lsum(m * s for m, s in zip(rate_coeffs, ray.direction))
         ts, logs = _ray_logs(ray, lam)
-        log_ratios = logs - (1.0 - delta) * rate * ts
+        c = (1.0 - delta) * rate
+        log_ratios = [v - c * t for v, t in zip(logs, ts)]
         # trend of the tail half, at least three points: the surrogate asks
         # for eventual non-increase, and the pre-asymptotic rise is harmless
         k = max(3, len(ts) // 2)
-        trend = _slope(ts[-k:].tolist(), log_ratios[-k:].tolist())
+        trend = _slope(ts[-k:], log_ratios[-k:])
         ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
-        if min(ratios) < sys.float_info.min:
-            raise OverflowError("a ratio is below the normal double range")
+        _normal(min(ratios), "a ratio")
         checks.append(RayCheck(ray.direction, max(ratios), trend, trend <= 1e-3, ratios))
     return Gr2Report(lam=lam, mu_bound=mu_bound, delta=delta, rays=checks)

@@ -14,6 +14,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -43,6 +44,19 @@ def _size(x) -> int:
     return operator.index(x)
 
 
+def _normal(value: float, what: str) -> float:
+    """value where it is a positive normal double, else OverflowError: never
+    a silent 0.0 or a subnormal with lost digits."""
+    if not value >= sys.float_info.min:
+        raise OverflowError(f"{what} is below the normal double range")
+    return value
+
+
+def _over(values, D: int) -> tuple[Fraction, ...]:
+    """Each value over D as a Fraction, built once."""
+    return tuple(Fraction(v, D) for v in values)
+
+
 def _record(name: str, fields: str):
     """A namedtuple base whose `_make` and `_replace` run the subclass's checks."""
     base = namedtuple(name, fields)
@@ -65,7 +79,7 @@ class ExponentVector:
     def _from_ints(cls, D: int, ints: list[int]) -> "ExponentVector":
         """Entries Fraction(v, D), v in ints (at least one), each built once."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", tuple(Fraction(v, D) for v in ints))
+        object.__setattr__(self, "entries", _over(ints, D))
         return self
 
     def __setattr__(self, name, value):
@@ -340,7 +354,7 @@ class InfChar:
 
     def oplus(self, values: Iterable[RationalLike]) -> "InfChar":
         """Concatenation of multisets."""
-        return InfChar(tuple(self.values) + tuple(as_fraction(v) for v in values))
+        return InfChar((*self.values, *values))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, InfChar) and self.canonical_form == other.canonical_form

@@ -301,6 +301,12 @@ def test_oscillator_huge_torus_entry(capsys):
     assert out == "value: 2.50662827463e-100\n"
 
 
+def test_oscillator_moment_past_the_double_range(capsys):
+    # 309!! is no double; the coefficient is
+    code, out, _ = invoke(capsys, "oscillator", "--a", "10", "--alpha", "0", "--beta", "310")
+    assert (code, out) == (0, "value: 167083056.973\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--a", "1e308", "--alpha", "1", "--beta", "1", "--check-quadrature"],
     ["--a", "1e-200,1e-200", "--alpha", "2,2", "--beta", "0,0"],

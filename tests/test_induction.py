@@ -230,6 +230,16 @@ def test_one_step_Sp():
     assert not validate_one_step_Sp(1, 3, 4, 1).verdict  # n2 too small
 
 
+@pytest.mark.parametrize("validate,sizes,lhs,ok", [
+    (validate_one_step_Sp, (1, 2, 2, 2), "0", True),  # the derived bound is weak
+    (validate_one_step_O, (1, 2, 2, 3, 3), "1/2", False),
+    (validate_one_step_O, (2, 3, 3, 4, 5), "0", True),
+])
+def test_derived_condition_at_its_boundary(validate, sizes, lhs, ok):
+    step = validate(*sizes).steps[-1]
+    assert (step.id, step.lhs, step.rhs, step.ok) == ("derived", lhs, "0", ok)
+
+
 def test_derived_condition_follows_from_stated():
     # whenever the stated size conditions all hold, so does the re-derived one
     for p in range(1, 9):
@@ -427,6 +437,12 @@ def test_av_prediction():
     # prepended transpose is (3, 1, 1)
     assert pred.partition == Partition([3, 1, 1])
     assert pred.conjectural
+
+
+def test_av_prediction_drops_only_zero_parts():
+    # f^t = (2, 1, 1): the part 1 stays, and f = (3, 1)
+    pred = predict_associated_variety("O", (1, 2, 2, 3, 3), Partition((1,)))
+    assert pred.partition == Partition([3, 1])
 
 
 def test_av_prediction_empty_partition():

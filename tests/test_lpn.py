@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,26 @@ def test_witness_revalidates(lam, n):
     mu = result.witness.mu
     tampered = result.witness._replace(mu=(mu[0] + 1,) + mu[1:])
     assert not check_assignment(lam, tampered)
+
+
+# lambda = (-1, -2): caps (1, 3), breakpoints (1, 2).  Each witness breaks
+# exactly one invariant and keeps the others (the last one breaks none), so
+# each False comes from its own branch; check_assignment reads only .eta,
+# .mu and the breakpoint indices
+@pytest.mark.parametrize("eta,ok", [
+    (((1, 1, 0),), False),  # a row of length 3, not p = 2
+    (((1, 1), (1, 1), (-1, 0)), False),  # a negative cell
+    (((0, 1), (1, 1)), False),  # mu = (1, 2) increases
+    (((1, F(1, 2)),), False),  # j = 2: 3/2 < 3 and the block is not all ones
+    (((1, 1),), True),  # j = 1 meets its cap, j = 2 is saturated
+])
+def test_check_assignment_rejects_one_broken_invariant(eta, ok):
+    witness = SimpleNamespace(
+        eta=eta,
+        mu=tuple(sum(row, F(0)) for row in eta),
+        block_structure=SimpleNamespace(indices=(1, 2)),
+    )
+    assert check_assignment(ev(-1, -2), witness) is ok
 
 
 LENGTH = r"^lambda has length 2, expected p=3$"

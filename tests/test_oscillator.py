@@ -118,6 +118,25 @@ def test_pinned_values_lie_near_a_60_digit_closed_form(a, alpha, beta, pinned):
     assert abs(Decimal(pinned) - ref) <= 24 * Decimal(math.ulp(pinned))
 
 
+@pytest.mark.parametrize("alpha,beta", [(0, 310), (1, 309)])
+def test_closed_form_takes_the_log_of_the_exact_double_factorial(alpha, beta):
+    # 309!! lies past the double range and the value (about 1.67e8 and
+    # 1.67e9) does not: floating the moment first raised OverflowError.
+    # The log terms, about 735 and 718, cancel to about 19, so the log-space
+    # sum is good to a few eps times their size S, not to a few ulps: one
+    # rounding of hypot(1, 10), raised to the 311th power, alone moves the
+    # value by up to 155 ulps (both land near 0.4 eps S)
+    got = oscillator_coefficient([10.0], [alpha], [beta])
+    ref = closed_form_60_digits([10.0], [alpha], [beta])
+    m = alpha + beta
+    size = (math.log(math.prod(range(m - 1, 0, -2))) + (alpha + 0.5) * math.log(10.0)
+            + (m + 1) * math.log(math.hypot(1.0, 10.0)))
+    assert abs(Decimal(got) - ref) <= Decimal(2 * sys.float_info.epsilon * size) * ref
+    assert got == pytest.approx(
+        oscillator_coefficient_quadrature([10.0], [alpha], [beta]), rel=1e-8
+    )
+
+
 @pytest.mark.parametrize("order", range(1, 65))
 def test_hermite_rule_matches_hermegauss(order):
     # numpy's rule stays the reference here; the library no longer loads it
