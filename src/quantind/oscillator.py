@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .vectors import DomainError, _normal
+from .vectors import DomainError, _normal, _size
 
 
 def gaussian_moment(m: int) -> float:
@@ -23,6 +23,7 @@ def gaussian_moment(m: int) -> float:
     Zero for odd m; (m-1)!! * sqrt(2*pi) for even m (exact double factorial,
     floated only at the end).
     """
+    m = _size(m)
     if m < 0:
         raise DomainError("moment order must be nonnegative")
     if m % 2 == 1:
@@ -40,7 +41,7 @@ def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
 
 
 def _check_index(alpha: Sequence[int], dim: int, name: str) -> tuple[int, ...]:
-    alpha = tuple(int(x) for x in alpha)
+    alpha = tuple(map(_size, alpha))
     if len(alpha) != dim:
         raise DomainError(f"{name} must have length {dim}")
     if any(x < 0 for x in alpha):

@@ -30,7 +30,6 @@ from typing import NamedTuple, Sequence
 from .lpn import lpn
 from .vectors import DomainError, ExponentVector, _normal, _record, _size
 
-TAIL_FRACTION = 1e-9  # truncation tail target relative to the running value
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
 
 
@@ -64,8 +63,8 @@ class IntegralEstimate(NamedTuple):
     value: always a positive normal double; where L lies below that range
     `evaluate` raises OverflowError instead (`fit_decay` and `check_gr2`
     work on log L and need no such value).
-    abs_error: the rule's own error estimate plus the tail bound beyond
-    truncation_T; T makes that tail part at most TAIL_FRACTION = 1e-9 of L.
+    abs_error: the rule's own error estimate plus eps L, eps the double's
+    epsilon, which bounds the tail beyond truncation_T (see `evaluate`).
     The rule's part, for every p, is the gap between two Gauss-Legendre
     orders on s_1 <= p T, a region that holds the t-space box [0, T]^p,
     plus a rounding term.
@@ -118,11 +117,13 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     """Numerically evaluate L(a, lambda) with an error figure.
 
     One method serves every p: `_iterated` integrates on s_1 <= p T, whose
-    excluded part {s_1 > p T} lies in the union of the {t_j > T}.  T makes
-    the tail bound at most TAIL_FRACTION of L: log f has slope at least m_j
-    in each t_j (its hypot factors shrink as t grows), so L >= f(t0) /
-    prod |m_j| for any t0, and the tail bound is at most
-    p exp(-min |m_j| T) / prod |m_j|.  At t0 = (0, ..., 0, c),
+    excluded part {s_1 > p T} lies in the union of the {t_j > T}.  There the
+    envelope exp(sum m_j t_j) leaves a mass of at most
+    p exp(-min |m_j| T) / prod |m_j|.  log f has slope at least m_j in each
+    t_j (its hypot factors shrink as t grows), so L >= f(t0) / prod |m_j|
+    for any t0.  So T = (log(p / eps) - log f(t0)) / min |m_j|, eps the
+    double's epsilon, puts that tail at or below eps L, and abs_error adds
+    eps L for it.  At t0 = (0, ..., 0, c),
     log f(t0) = m_p c - p sum_k log hypot(a_k e^{-c}, 1), with c the best of
     0 and the log a_k.  Raises OverflowError where L lies below the normal
     double range, DomainError where the grid would exceed MAX_PANELS.
@@ -140,15 +141,15 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
 def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
-    log L, its relative error (rule and tail), T and the node count: the
-    lambda side once per call, log f(t0), T and the tail in plain loops."""
+    log L, its relative error (rule, and eps for the tail), T and the node
+    count: the lambda side once per call, log f(t0) and T in plain loops."""
     p, n = len(lam), len(log_a[0])
     D, rates, margins = _rates(lam, n)
     if not all(m < 0 for m in margins):
         raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
-    slope, norm = min(map(abs, margins)), math.prod(map(abs, margins))
-    Ts = []
+    slope, eps = min(map(abs, margins)), sys.float_info.epsilon
+    Ts = []  # the tail outside [0, T]^p is at most eps L: see `evaluate`
     for row in log_a:
         # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
         log_f0 = -math.inf
@@ -158,16 +159,9 @@ def _log_estimate(log_a, lam: ExponentVector):
                 d = k - c
                 acc += (d + abs(d) + math.log1p(math.exp(-2.0 * abs(d)))) / 2
             log_f0 = max(log_f0, margins[-1] * c - p * acc)
-        Ts.append((math.log(p / TAIL_FRACTION) - log_f0) / slope)
+        Ts.append((math.log(p / eps) - log_f0) / slope)
     logs, errors, nodes = _iterated(log_a, rates, [p * T for T in Ts])
-    # mass of exp(sum m_j t_j) outside [0, T]^p, summed over escape
-    # directions, relative to L
-    for i, (v, T) in enumerate(zip(logs, Ts)):
-        acc = 0.0
-        for m in margins:
-            acc += math.exp(m * T - v)
-        errors[i] += acc / norm
-    return logs, errors, Ts, nodes
+    return logs, [e + eps for e in errors], Ts, nodes
 
 
 def _lsum(terms):

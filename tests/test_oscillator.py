@@ -45,6 +45,20 @@ def test_odd_parity_vanishes():
     assert oscillator_coefficient([1.0, 2.0], [2, 1], [1, 2]) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: oscillator_coefficient([2.0], [2.9], [0]),  # was the value at alpha = 2
+    lambda: oscillator_coefficient([2.0], [1.5], [0.5]),  # was 0.0
+    lambda: oscillator_coefficient([2.0], [True], [0]),
+    lambda: oscillator_coefficient_quadrature([2.0], [2.9], [0]),
+    lambda: oscillator_coefficient_quadrature([2.0], [0], [2.0]),
+    lambda: gaussian_moment(2.0),  # was a TypeError
+    lambda: gaussian_moment(True),  # was 0.0
+])
+def test_non_integer_indices_are_refused(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_torus_rejected(bad):
     with pytest.raises(DomainError, match="finite"):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -113,7 +115,7 @@ PINNED = [
 def test_pinned_higher_dim_values(a, lam, ref, rtol):
     est = evaluate(a, ev(*lam))
     assert abs(est.value - ref) <= est.abs_error + rtol * ref
-    assert est.abs_error <= 2e-9 * ref
+    assert est.abs_error <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("a,c,p", [
@@ -163,7 +165,7 @@ def test_near_divergent_value_within_its_error(k, pinned):
     ref = near_divergent_reference(1.0 / k)
     assert pinned is None or ref == pytest.approx(pinned, rel=1e-12)
     est = evaluate([2.0], ev(F(-1, k), -2))
-    assert abs(est.value - ref) <= est.abs_error <= 2e-9 * ref
+    assert abs(est.value - ref) <= est.abs_error <= 1e-12 * ref
     assert est.node_count < 10_000
 
 
@@ -230,7 +232,7 @@ def test_p1_long_ray_matches_asymptotics(L):
     # here is about 2 a^{-1/2}, far below a double's precision
     ref = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(math.pi)) * math.exp(-L / 2)
     est = evaluate([math.exp(L)], ev(F(-1, 2)))
-    assert abs(est.value - ref) <= est.abs_error < 1e-9 * ref
+    assert abs(est.value - ref) <= est.abs_error < 1e-12 * ref
 
 
 def split_log_space_reference(a, lam):
@@ -258,7 +260,7 @@ def test_p1_several_knots_match_split_quad(log_a, lam):
     ref = split_log_space_reference(a, float(lam))
     est = evaluate(a, ev(lam))
     assert abs(est.value - ref) <= est.abs_error + 1e-12 * ref
-    assert est.abs_error <= 2e-9 * est.value
+    assert est.abs_error <= 1e-12 * est.value
 
 
 ERROR_FIGURE_CASES = {
@@ -275,12 +277,52 @@ ERROR_FIGURE_CASES = {
     "a,lam", ERROR_FIGURE_CASES.values(), ids=ERROR_FIGURE_CASES.keys()
 )
 def test_error_figure_within_tolerance(a, lam):
-    # the tail part of abs_error is at most TAIL_FRACTION = 1e-9 of L by
-    # the choice of T; the rule's part is the gap between two
+    # the tail part of abs_error is one epsilon of L by the choice of T
+    # (see `evaluate`); the rule's part is the gap between two
     # Gauss-Legendre orders
     est = evaluate(a, ev(*lam))
     assert 0.0 < est.value
-    assert est.abs_error <= 2e-9 * est.value
+    assert est.abs_error <= 1e-12 * est.value
+
+
+# L_1 = int_1^inf b^lambda (a^2 + b^2)^{-n/2} db at a = e^{log a}, by mpmath
+# at 40 digits, as float.hex, keyed by (n, log a, lambda)
+EQUAL_LAMBDA_L1 = {
+    (1, 0, -1): "0x1.c34366179d427p-1", (1, 0, -2): "0x1.a827999fcef32p-2",
+    (1, 3, -1): "0x1.78a181190782cp-3", (1, 3, -2): "0x1.840e0dec249eap-5",
+    (3, 0, -1): "0x1.64e5febea6169p-3", (3, 0, -2): "0x1.f0ed99bed9b2ep-4",
+    (3, 3, -1): "0x1.5cbee7a130fbbp-12", (3, 3, -2): "0x1.d3ffdad2c26b9p-14",
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n,log_a,lam", EQUAL_LAMBDA_L1)
+def test_equal_lambda_values_match_mpmath(p, n, log_a, lam):
+    # equal lambda_i make the integrand symmetric in b, so L = L_1^p / p!
+    ref = float.fromhex(EQUAL_LAMBDA_L1[n, log_a, lam]) ** p / math.factorial(p)
+    est = evaluate([math.exp(log_a)] * n, ev(*[lam] * p))
+    err = abs(est.value - ref)
+    assert err <= 1e-13 * ref and err <= est.abs_error
+
+
+def test_tail_beyond_T_is_at_most_one_epsilon():
+    # the tail bound sum_j e^{m_j T} / prod |m_j| that T is chosen to keep
+    # at or below eps L, recomputed from T and log L
+    rng = random.Random(22)
+    checked = 0
+    while checked < 1000:
+        p, n = rng.randint(1, 4), rng.randint(1, 3)
+        lam = [F(rng.randint(-12, 4), rng.randint(1, 4)) for _ in range(p)]
+        margins = [float(m) for m in itertools.accumulate(x - n + 1 for x in lam)]
+        if max(margins) >= 0:
+            continue
+        log_a = [[rng.uniform(0.0, 6.0) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        logs, _, Ts, _ = twisted._log_estimate(log_a, ExponentVector(lam))
+        norm = math.prod(abs(m) for m in margins)
+        for v, T in zip(logs, Ts):
+            tail = sum(math.exp(m * T - v) for m in margins) / norm
+            assert tail <= sys.float_info.epsilon * (1 + 1e-6)
+        checked += 1
 
 
 @pytest.mark.parametrize("name", ["p3-a22", "p3-a3-2-15"])
@@ -437,9 +479,10 @@ def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
         fit_decay(ray, ev("-1/2"))
 
 
-# log L, T and the node count of `_log_estimate` before its set-up was
-# rewritten, as float.hex: p = 1-5, n = 1-3, repeated and zero log a_k, a
-# knot beyond S (30 > S = 16.9), t s > 709, the near-divergent
+# log L, T and the node count of `_log_estimate` since T puts the tail at
+# one epsilon of L, as float.hex (each log L that this moved, all at p = 1,
+# moved toward a 40-digit mpmath value): p = 1-5, n = 1-3, repeated and zero
+# log a_k, a knot beyond S (30 > S = 22.0), t s > 709, the near-divergent
 # lambda = (-10^-6, -2), and (1 - 10^-6, -1/2) at n = 2, whose first gaps
 # cap the panel width (G > 0).  T and the node count come from `math` and
 # the grid alone, so they match bit for bit.  log L also passes through
@@ -448,78 +491,76 @@ def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
 _L = math.log
 PINNED_LOG_ESTIMATES = [
     ([[3.0]], ["-1/2"],
-     ["-0x1.4548917453c0ap-2"], ["0x1.691e0ff27e8a0p+5"], [300]),
+     ["-0x1.4548916ce103fp-2"], ["0x1.2f1f2f5294386p+6"], [330]),
     ([[2.0, 0.5]], ["0"],
-     ["-0x1.269e930de77d0p+0"], ["0x1.718191b66e9b6p+4"], [240]),
+     ["-0x1.269e930ca2e1fp+0"], ["0x1.3350f0348c411p+5"], [270]),
     ([[1.0, 1.0, 1.0]], ["1"],
-     ["-0x1.103f2d55ce523p+0"], ["0x1.6c353171fba6fp+4"], [240]),
+     ["-0x1.103f2d54301d7p+0"], ["0x1.30aac01252c6ep+5"], [270]),
     ([[800.0], [1200.0]], ["-1/2"],
-     ["-0x1.8eb080ea08845p+8", "-0x1.2b58407504423p+9"],
-     ["0x1.a511e0ff27e8ap+9", "0x1.3688f07f93f45p+10"], [780, 840]),
+     ["-0x1.8eb080ea06e0fp+8", "-0x1.2b58407503708p+9"],
+     ["0x1.b463e5ea52870p+9", "0x1.3e31f2f529438p+10"], [810, 870]),
     ([[30.0]], ["-3"],
-     ["-0x1.eb17217f7d1d0p+4"], ["0x1.0e862a663ffe8p+4"], [210]),
+     ["-0x1.eb17217f7d1d0p+4"], ["0x1.603b99f7234b7p+4"], [240]),
     ([[_L(2.0)]], ["-1/1000000", "-2"],
-     ["0x1.94844e6f47d43p+3"], ["0x1.5f58baee1093fp+24"], [1740]),
+     ["0x1.94844e6f47d43p+3"], ["0x1.248eff3db5d1fp+25"], [1800]),
     ([[2.5]], ["-1", "-2"],
-     ["-0x1.0d60775012626p+2"], ["0x1.a6c5223fdf5e2p+4"], [780]),
+     ["-0x1.0d60775012626p+2"], ["0x1.4df2b87944a27p+5"], [840]),
     ([[3.0, 3.0]], ["-1", "-2"],
-     ["-0x1.694d02ff816a8p+3"], ["0x1.0b5ef44ac9c6ap+4"], [900]),
+     ["-0x1.694d02ff816a8p+3"], ["0x1.85ef1ba41eba0p+4"], [960]),
     ([[4.0, 0.0]], ["-1", "-1"],
-     ["-0x1.1f96b9d04608ap+3"], ["0x1.e1c221e4b0a5fp+3"], [720]),
+     ["-0x1.1f96b9d04608ap+3"], ["0x1.6b71384bad466p+4"], [780]),
     ([[400.0, 400.0], [800.0, 800.0]], ["-1", "-2"],
-     ["-0x1.8e80b4db2c5cfp+10", "-0x1.8f2a21e839d24p+11"],
-     ["0x1.955aa682c8f46p+9", "0x1.92ad5341647a3p+10"], [2040, 2220]),
+     ["-0x1.8e80b4db2c5d0p+10", "-0x1.8f2a21e839d25p+11"],
+     ["0x1.992f27bd939c0p+9", "0x1.949793dec9ce0p+10"], [2040, 2220]),
     ([[5.0, 2.0, 0.0]], ["0", "-1"],
-     ["-0x1.b60a6dd92067cp+3"], ["0x1.2105a4b04a0ecp+4"], [1200]),
+     ["-0x1.b60a6dd92067cp+3"], ["0x1.9b95cc099f022p+4"], [1260]),
     ([[3.0, 1.0]], ["999999/1000000", "-1/2"],
-     ["0x1.5e8f8b5df6e98p+3"], ["0x1.964e8120407ebp+24"], [1920]),
+     ["0x1.5e8f8b5df6e98p+3"], ["0x1.4009e256cdc75p+25"], [1980]),
     ([[_L(3.0)]], ["-2", "-2", "-3"],
-     ["-0x1.925c26f7211e8p+2"], ["0x1.94697ee08cfddp+3"], [990]),
+     ["-0x1.925c26f7211e8p+2"], ["0x1.44c4e6c99b725p+4"], [1080]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3"],
-     ["-0x1.3261558cada4ep+3"], ["0x1.aa672f9535a62p+2"], [990]),
+     ["-0x1.3261558cada4ep+3"], ["0x1.4fc3bf23efc68p+3"], [990]),
     ([[_L(3.0), _L(2.0), _L(1.5)]], ["-2", "-2", "-3"],
-     ["-0x1.7878895e60810p+3"], ["0x1.d75389d78e9fbp+2"], [1350]),
+     ["-0x1.7878895e6080fp+3"], ["0x1.6639ec451c434p+3"], [1440]),
     ([[1.0, 1.0]], ["-1", "-1/2", "-1/2"],
-     ["-0x1.c0954adbc1eb0p+2"], ["0x1.c33e1aacff099p+3"], [2160]),
+     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [3240]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3", "-3"],
-     ["-0x1.b1c19abd6a8fcp+3"], ["0x1.c8c1ca11706a4p+2"], [1320]),
+     ["-0x1.b1c19abd6a8fcp+3"], ["0x1.5ef10c620d288p+3"], [1440]),
     ([[2.0, 2.0, 0.0]], ["0", "0", "-1", "-1"],
-     ["-0x1.1ea7b89c041e9p+4"], ["0x1.3c8c31c0b4d56p+4"], [1680]),
+     ["-0x1.1ea7b89c041e9p+4"], ["0x1.b71c591a09c8cp+4"], [1800]),
     ([[2.5]], ["-2", "-5/2", "-2", "-3", "-2"],
-     ["-0x1.28d986dd2b878p+4"], ["0x1.16cbc286619b6p+4"], [2100]),
+     ["-0x1.28d986dd2b878p+4"], ["0x1.915be9dfb68edp+4"], [2250]),
     ([[_L(2.5), _L(1.5)]], ["-5/2"] * 5,
-     ["-0x1.0c53b5676416ap+4"], ["0x1.1467cadd04a1dp+3"], [1650]),
-    # non-dyadic and large-denominator lambda, pinned before the lambda side
-    # moved to ints over a common denominator
+     ["-0x1.0c53b5676416ap+4"], ["0x1.a07a40f9f8012p+3"], [1650]),
+    # non-dyadic and large-denominator lambda
     ([[2.0]], ["-1/3", "-2/7"],
-     ["0x1.8bbac8d12d2e0p-1"], ["0x1.182bff5c2715ep+6"], [3180]),
+     ["0x1.8bbac8d12d2e0p-1"], ["0x1.d0043a622682ep+6"], [5160]),
     ([[_L(3.0)]], ["-1/1000000", "-5/3"],
-     ["0x1.94382ece5c588p+3"], ["0x1.69ec561c49c13p+24"], [1740]),
+     ["0x1.94382ece5c588p+3"], ["0x1.29d8ccd4d2688p+25"], [1740]),
     ([[1.5, 0.25]], ["5/7", "-13/11"],
-     ["-0x1.319eb2c0402d8p+0"], ["0x1.6246504b4459ep+6"], [840]),
+     ["-0x1.319eb2c0402d8p+0"], ["0x1.1c614a93cc81ep+7"], [900]),
     ([[_L(2.0), 0.0], [40.0, 20.0]], ["-1/3", "-2/7", "-1000001/1000000"],
-     ["-0x1.196c1c8a47388p+2", "-0x1.267d7b702e81ap+7"],
-     ["0x1.2f4f1f2869be6p+4", "0x1.06dd25ba131dfp+7"], [810, 3330]),
-    # the benchmark's ray shapes, pinned before the per-row set-up became
-    # plain loops: 11 points of s = 1 at t = 1, 1.5, ..., 6 (p = 1), and 7
-    # points along (1, 0) with two knots, one at 0 (p = 2)
+     ["-0x1.196c1c8a47387p+2", "-0x1.267d7b702e81ap+7"],
+     ["0x1.e7275a2e692b8p+4", "0x1.1dd82d1ad30bap+7"], [900, 3330]),
+    # the benchmark's ray shapes: 11 points of s = 1 at t = 1, 1.5, ..., 6
+    # (p = 1), and 7 points along (1, 0) with two knots, one at 0 (p = 2)
     ([[1.0 + 0.5 * i] for i in range(11)], ["-3/2"],
-     ["-0x1.f81887ea3f030p-1", "-0x1.4df235d90530bp+0", "-0x1.ad0aa68c5d224p+0",
-      "-0x1.0aad31173f7bdp+1", "-0x1.4208529568c8cp+1", "-0x1.7ba3ad454db57p+1",
-      "-0x1.b6db67fb4ccaep+1", "-0x1.f33f3b168d85cp+1", "-0x1.18404d118d3bbp+2",
-      "-0x1.3733ba9c73288p+2", "-0x1.566589e56efb0p+2"],
-     ["0x1.d0c8980aaea71p+3", "0x1.da9d569e40113p+3", "0x1.e4f4e3fbc8d94p+3",
-      "0x1.ef80554cc17dcp+3", "0x1.fa1f6c3a1ccb9p+3", "0x1.0262e8b67893bp+4",
-      "0x1.07b774b2d2228p+4", "0x1.0d0c7fee574a5p+4", "0x1.1261ba000edacp+4",
-      "0x1.17b7054d98d70p+4", "0x1.1d0c56f245e89p+4"],
-     [210, 270, 270, 270, 330, 330, 330, 330, 330, 390, 390]),
+     ["-0x1.f81887e4f438ep-1", "-0x1.4df235d6b8d47p+0", "-0x1.ad0aa68a4fce0p+0",
+      "-0x1.0aad31164ea93p+1", "-0x1.420852948735cp+1", "-0x1.7ba3ad4476f4dp+1",
+      "-0x1.b6db67fa7ddb2p+1", "-0x1.f33f3b15c451dp+1", "-0x1.18404d112ac31p+2",
+      "-0x1.3733ba9c12496p+2", "-0x1.566589e50f51fp+2"],
+     ["0x1.8bcf2b271ded7p+4", "0x1.90b98a70e6a27p+4", "0x1.95e5511fab067p+4",
+      "0x1.9b2b09c82758cp+4", "0x1.a07a953ed4ff9p+4", "0x1.a5cdc7d83f2d8p+4",
+      "0x1.ab2253d498bc5p+4", "0x1.b0775f101de43p+4", "0x1.b5cc9921d5749p+4",
+      "0x1.bb21e46f5f70dp+4", "0x1.c07736140c827p+4"],
+     [240, 300, 300, 300, 360, 360, 360, 360, 360, 420, 420]),
     ([[1.0 + 0.5 * i, 0.0] for i in range(7)], ["-1", "-2"],
      ["-0x1.043209e88d79ep+2", "-0x1.33405ccf1fee6p+2", "-0x1.68f3c5f804c40p+2",
       "-0x1.a2cbb3dc1a4f6p+2", "-0x1.df20f06f7f27fp+2", "-0x1.0e78550aa1ec6p+3",
       "-0x1.2dd0867c6d20ap+3"],
-     ["0x1.83c8a7dc40392p+3", "0x1.9287c5b99a583p+3", "0x1.a20b19c5e7845p+3",
-      "0x1.b1dc43bf5c7b2p+3", "0x1.c1cae623656fdp+3", "0x1.d1c47defa3f98p+3",
-      "0x1.e1c221e4b0a5fp+3"],
+     ["0x1.3c747b47750ffp+4", "0x1.43d40a36221f8p+4", "0x1.4b95b43c48b58p+4",
+      "0x1.537e49390330fp+4", "0x1.5b759a6b07ab4p+4", "0x1.6372665126f02p+4",
+      "0x1.6b71384bad466p+4"],
      [660, 780, 780, 780, 900, 900, 900]),
 ]
 
