@@ -225,13 +225,14 @@ def _chain_initial(chain: DualPairChain, rep: ValidationReport) -> None:
 
 
 def _chain_inductive(chain: DualPairChain, rep: ValidationReport) -> None:
-    """Parity of consecutive O's, then the size conditions window by window.
+    """Parity of consecutive O's, then the size conditions subscript by subscript.
 
     size[j].1 checks each (Sp, O) pair, size[j].2 each (Sp, O, Sp) window and
     size[j].3 each (O, Sp, O) window.  The group at position i carries the
-    subscript i//2 + 1 in both flavours, so the O after Sp_j is O_{j+1} in
-    O-first chains and O_j in Sp-first ones; j is the subscript of the
-    window's first group.  Records are reported by (j, end position, suffix).
+    subscript i//2 + 1 in both flavours, so subscript j holds positions
+    2j-2 and 2j-1: its records are the pair that starts at Sp_j, then the
+    windows that start at 2j-2 and 2j-1.  A group in the pair or in the
+    window's middle is written with j when it sits at 2j-1, else with {j+1}.
     """
     groups = chain.groups
     orths = [g for g in groups if isinstance(g, Orthogonal)]
@@ -243,33 +244,25 @@ def _chain_inductive(chain: DualPairChain, rep: ValidationReport) -> None:
             f"{(b.p + b.q) % 2}",
             (a.p + a.q) % 2 == (b.p + b.q) % 2,
         )
-
-    def sub(i: int, j: int) -> str:
-        return "j" if i // 2 + 1 == j else "{j+1}"
-
-    records = []
-    for end in range(1, len(groups)):
-        s, o = groups[end - 1], groups[end]
-        if isinstance(s, Symplectic):
-            j = (end - 1) // 2 + 1
-            x = sub(end, j)
-            ok = s.n < o.p <= o.q
-            ineq = f"n_j < p_{x} <= q_{x}"
-            records.append(((j, end, 1), ineq, f"{s.n}", f"({o.p},{o.q})", ok))
-        if end < 2:
-            continue
-        a, b, c = groups[end - 2 : end + 1]
-        j = (end - 2) // 2 + 1
-        x = sub(end - 1, j)
-        if isinstance(a, Symplectic):
-            suffix, lhs, rhs = 2, b.p + b.q - 2 * a.n, 2 * c.n - b.p - b.q + 2
-            ineq = f"p_{x} + q_{x} - 2 n_j <= 2 n_{{j+1}} - p_{x} - q_{x} + 2"
-        else:
-            suffix, lhs, rhs = 3, 2 * b.n - a.p - a.q + 2, c.p + c.q - 2 * b.n
-            ineq = f"2 n_{x} - p_j - q_j + 2 <= p_{{j+1}} + q_{{j+1}} - 2 n_{x}"
-        records.append(((j, end, suffix), ineq, f"{lhs}", f"{rhs}", lhs <= rhs))
-    for (j, _, suffix), ineq, lhs, rhs, ok in sorted(records, key=lambda r: r[0]):
-        rep.add(f"size[{j}].{suffix}", ineq, lhs, rhs, ok)
+    for j in range(1, len(groups) // 2 + 1):
+        first = 2 * j - 2
+        i = first if isinstance(groups[first], Symplectic) else first + 1
+        if i + 1 < len(groups):
+            s, o = groups[i : i + 2]
+            x = "j" if i == first else "{j+1}"
+            rep.add(f"size[{j}].1", f"n_j < p_{x} <= q_{x}", f"{s.n}", f"({o.p},{o.q})",
+                    s.n < o.p <= o.q)
+        for start, x in ((first, "j"), (first + 1, "{j+1}")):
+            if start + 2 >= len(groups):
+                break
+            a, b, c = groups[start : start + 3]
+            if isinstance(a, Symplectic):
+                suffix, lhs, rhs = 2, b.p + b.q - 2 * a.n, 2 * c.n - b.p - b.q + 2
+                ineq = f"p_{x} + q_{x} - 2 n_j <= 2 n_{{j+1}} - p_{x} - q_{x} + 2"
+            else:
+                suffix, lhs, rhs = 3, 2 * b.n - a.p - a.q + 2, c.p + c.q - 2 * b.n
+                ineq = f"2 n_{x} - p_j - q_j + 2 <= p_{{j+1}} + q_{{j+1}} - 2 n_{x}"
+            rep.add(f"size[{j}].{suffix}", ineq, lhs, rhs, lhs <= rhs)
 
 
 def _propagate_bounds(chain: DualPairChain, rep: ValidationReport) -> None:

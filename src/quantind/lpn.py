@@ -159,7 +159,7 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
     cells = len(lam) * n
     if cells > ORACLE_MAX_CELLS:
         raise DomainError(f"oracle limited to {ORACLE_MAX_CELLS} cells, got {cells}")
-    best: list[int] | None = None
+    best: list[int] = []  # never left empty: the greedy's own eq/sat choice is feasible
     for combo in product(("eq", "sat"), repeat=len(indices)):
         totals: list[int] = []
         cum = 0
@@ -176,11 +176,7 @@ def lpn_oracle(lam: ExponentVector, p: int | None, n: int) -> ExponentVector:
             totals.append(t)
             cum += t
         else:  # feasible
-            mu = _lex_max_rows(totals, widths, n, D)
-            if best is None or mu > best:
-                best = mu
-    if best is None:
-        raise DomainError("no feasible constraint structure (lambda not < 0?)")
+            best = max(best, _lex_max_rows(totals, widths, n, D))
     return ExponentVector._from_ints(D, [-v for v in best])
 
 

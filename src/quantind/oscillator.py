@@ -12,23 +12,27 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from typing import Sequence
 
-from .vectors import DomainError, _normal, _size
+from .vectors import DomainError, _normal, _normal_exp, _size
 
 
 def gaussian_moment(m: int) -> float:
     """Integral of u^m exp(-u^2/2) over the real line.
 
     Zero for odd m; (m-1)!! * sqrt(2*pi) for even m (exact double factorial,
-    floated only at the end).
+    floated only at the end); OverflowError from m = 302 on, where it lies
+    above the double range.
     """
     m = _size(m)
     if m < 0:
         raise DomainError("moment order must be nonnegative")
     if m % 2 == 1:
         return 0.0
-    return math.prod(range(m - 1, 0, -2)) * math.sqrt(2.0 * math.pi)
+    dfact = math.prod(range(m - 1, 0, -2))
+    value = dfact * math.sqrt(2.0 * math.pi) if dfact <= sys.float_info.max else math.inf
+    return _normal(value, f"the moment of order {m}")
 
 
 def _check_torus(a: Sequence[float]) -> tuple[float, ...]:
@@ -61,7 +65,7 @@ def oscillator_coefficient(
     and log c as the log of the exact double factorial plus log sqrt(2 pi),
     so no (m-1)!! past the double range is floated.
     Exactly 0.0 when an alpha_i + beta_i is odd; OverflowError where the
-    value lies below the normal double range.
+    value lies outside the normal double range, at either end.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
@@ -76,7 +80,7 @@ def oscillator_coefficient(
             + (al + 0.5) * math.log(ai)
             - (m + 1) * math.log(math.hypot(1.0, ai))
         )
-    return _normal(math.exp(log_out), f"the coefficient e^{log_out:.6g}")
+    return _normal_exp(log_out, f"the coefficient e^{log_out:.6g}")
 
 
 def _normed_hermite(u: float, n: int) -> float:
@@ -160,21 +164,27 @@ def oscillator_coefficient_quadrature(
     rule is computed once (`_hermite_rule`).  The moment is summed from the
     nodes with `math.fsum`, independently of `gaussian_moment`; the factors
     and their product are frexp mantissas times powers of two up to one
-    `ldexp`.  When every alpha_i + beta_i is even, OverflowError where the
-    value lies outside the normal double range; otherwise the value is 0.
+    `ldexp`.  OverflowError where a term or the value passes the double
+    range, or where every alpha_i + beta_i is even and the value lies below
+    the normal range; otherwise an odd order gives 0.
     """
     a = _check_torus(a)
     alpha = _check_index(alpha, len(a), "alpha")
     beta = _check_index(beta, len(a), "beta")
+    rules = [_hermite_rule((al + be) // 2 + 1) for al, be in zip(alpha, beta)]
     out, exp2 = 1.0, 0  # the product is out * 2**exp2, out a frexp mantissa
-    for ai, al, be in zip(a, alpha, beta):
-        u, w = _hermite_rule((al + be) // 2 + 1)
-        s = math.hypot(1.0, ai)
-        terms = (wk * ((ai * x) ** al * x**be) for wk, x in zip(w, (uk / s for uk in u)))
-        (f, ef), (r, er), (t, et) = map(math.frexp, (math.fsum(terms), math.sqrt(ai), s))
-        out, eo = math.frexp(out * (f * r / t))
-        exp2 += ef + er - et + eo
-    out = math.ldexp(out, exp2)
+    try:  # a power, fsum or ldexp past the double range; inf - inf in fsum
+        for ai, al, be, (u, w) in zip(a, alpha, beta, rules):
+            s = math.hypot(1.0, ai)
+            terms = (wk * ((ai * x) ** al * x**be) for wk, x in zip(w, (uk / s for uk in u)))
+            (f, ef), (r, er), (t, et) = map(math.frexp, (math.fsum(terms), math.sqrt(ai), s))
+            out, eo = math.frexp(out * (f * r / t))
+            exp2 += ef + er - et + eo
+        out = math.ldexp(out, exp2)
+    except (OverflowError, ValueError):
+        out = math.inf
+    if not math.isfinite(out):  # inf, or nan from inf * 0, though the value may be normal or 0
+        raise OverflowError("the quadrature coefficient or a term of it is above the double range")
     if all((al + be) % 2 == 0 for al, be in zip(alpha, beta)):
         _normal(out, "the quadrature coefficient")
     return out

@@ -28,7 +28,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .lpn import lpn
-from .vectors import DomainError, ExponentVector, _normal, _record, _size
+from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
 
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
 
@@ -134,7 +134,7 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     if not all(map(math.isfinite, a)):
         raise DomainError("a entries must be finite")
     [log_value], [rel_error], [T], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
-    value = _normal(math.exp(log_value), f"L(a, lambda) = e^{log_value:.6g}")
+    value = _normal_exp(log_value, f"L(a, lambda) = e^{log_value:.6g}")
     return IntegralEstimate(value, value * rel_error, T, nodes)
 
 
@@ -387,7 +387,6 @@ def check_gr2(
         # for eventual non-increase, and the pre-asymptotic rise is harmless
         k = max(3, len(ts) // 2)
         trend = _slope(ts[-k:], log_ratios[-k:])
-        ratios = tuple(math.exp(x) for x in log_ratios)  # OverflowError, not inf
-        _normal(min(ratios), "a ratio")
+        ratios = tuple(_normal_exp(x, "a ratio") for x in log_ratios)
         checks.append(RayCheck(ray.direction, max(ratios), trend, trend <= 1e-3, ratios))
     return Gr2Report(lam=lam, mu_bound=mu_bound, delta=delta, rays=checks)

@@ -3,9 +3,11 @@
 Everything in this module is exact: entries are `fractions.Fraction` and no
 tolerance is involved anywhere.  Floats are rejected at construction time
 because the partial-sum orders and the transfer algorithm hinge on exact
-ties.  The range tests (`_in_range`, behind the five predicates of
-`induction`) build no Fraction vector: they compare the prefix sums of
-lambda - c*1 + k*rho with 0 as ints over one common denominator D.
+ties.  The shift lambda - c*1 + k*rho(g) is computed once, by `_shifted`,
+as ints over one common denominator D.  The range tests (`_in_range`,
+behind the five predicates of `induction`) compare its prefix sums with 0
+on those ints and build no Fraction; `rho_shift` builds its entries from
+them as Fraction(v, D), for the transfer bounds.
 """
 
 from __future__ import annotations
@@ -45,11 +47,19 @@ def _size(x) -> int:
 
 
 def _normal(value: float, what: str) -> float:
-    """value where it is a positive normal double, else OverflowError: never
-    a silent 0.0 or a subnormal with lost digits."""
+    """value where it is a positive normal double, else OverflowError naming
+    the end it misses: never inf, nan, 0.0 or a subnormal with lost digits."""
+    if not value <= sys.float_info.max:
+        raise OverflowError(f"{what} is above the double range")
     if not value >= sys.float_info.min:
         raise OverflowError(f"{what} is below the normal double range")
     return value
+
+
+def _normal_exp(log_value: float, what: str) -> float:
+    """_normal(e^log_value): an exp past the double range is refused by name too."""
+    big = log_value > math.log(sys.float_info.max)  # e^log(max) is finite
+    return _normal(math.inf if big else math.exp(log_value), what)
 
 
 def _over(values, D: int) -> tuple[Fraction, ...]:
@@ -212,40 +222,20 @@ def rho(g: GroupDescriptor) -> ExponentVector:
     return ExponentVector(Fraction(r, 2) for r in _two_rho(g))
 
 
-def _check_rank(lam, g: GroupDescriptor) -> None:
+def _shifted(
+    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int
+) -> tuple[int, list[int]]:
+    """(D, D*(lam - c*1 + k*rho(g))) on ints, D the lcm of 2 and every
+    denominator: the one place the shift is computed.  Errors come in this
+    order: lam's length, c, rho(g), then the entries."""
     if len(lam) != g.rank:
         name = "p" if isinstance(g, Orthogonal) else "n"
         raise DomainError(f"lambda must have length {name}={g.rank}")
-
-
-def rho_shift(
-    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int
-) -> ExponentVector:
-    """lam - c*1 + k*rho(g), the vector every range test compares with 0.
-
-    lam must have the length of rank(g): p for O(p,q), n for Sp(2n).
-    """
-    _check_rank(lam, g)
-    c = as_fraction(c)
-    return ExponentVector(x - c + k * r for x, r in zip(lam, rho(g)))
-
-
-def _in_range(
-    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int, strict: bool
-) -> bool:
-    """lam - c*1 + k*rho(g) < 0 (strict) or <= 0 in the prefix-sum order.
-
-    Same verdict and errors, in the same order, as strictly_ or
-    weakly_dominated(rho_shift(lam, g, c, k)), but decided on ints: the
-    prefix sums of D*(lam - c*1 + k*rho(g)), D the lcm of 2 and every
-    denominator, up to the first that fails.
-    """
-    _check_rank(lam, g)
     c = as_fraction(c)
     two_rho = _two_rho(g)
     if not isinstance(lam, ExponentVector):
-        # a list or tuple: rational entries (bools too) as rho_shift's
-        # arithmetic takes them; any other entry fails as it does there
+        # a list or tuple: rational entries (bools too) as they are; any
+        # other goes through x - c + k*rho_i and fails there or by its value
         lam = ExponentVector(
             Fraction(x) if isinstance(x, numbers.Rational) else x - c + k * Fraction(r, 2)
             for x, r in zip(lam, two_rho)
@@ -253,13 +243,24 @@ def _in_range(
     D0, xs = lam.scaled()
     D = math.lcm(D0, 2, c.denominator)
     m, h, cD = D // D0, k * (D // 2), c.numerator * (D // c.denominator)
-    limit = 0 if strict else 1  # a failing integer sum is >= 0, or >= 1
-    s = 0
-    for x, r in zip(xs, two_rho):
-        s += x * m + h * r - cD
-        if s >= limit:
-            return False
-    return True
+    return D, [x * m + h * r - cD for x, r in zip(xs, two_rho)]
+
+
+def rho_shift(lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int) -> ExponentVector:
+    """lam - c*1 + k*rho(g) as an exact vector, for lam of length rank(g): p
+    for O(p,q), n for Sp(2n).  Each entry is built once, as Fraction(v, D)
+    from `_shifted`'s ints."""
+    return ExponentVector._from_ints(*_shifted(lam, g, c, k))
+
+
+def _in_range(
+    lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int, strict: bool
+) -> bool:
+    """lam - c*1 + k*rho(g) < 0 (strict) or <= 0 in the prefix-sum order: the
+    verdict and errors of strictly_ or weakly_dominated(rho_shift(...)), but
+    decided on `_shifted`'s ints, D*(lam - c*1 + k*rho(g)), with no Fraction."""
+    sums = itertools.accumulate(_shifted(lam, g, c, k)[1])
+    return all(s < 0 for s in sums) if strict else all(s <= 0 for s in sums)
 
 
 class CoverInfo(NamedTuple):

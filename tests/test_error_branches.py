@@ -9,13 +9,28 @@ import pytest
 import quantind
 from quantind import (
     DomainError,
+    DualPairChain,
     ExponentVector,
+    InfChar,
+    Orthogonal,
+    Partition,
     RaySpec,
+    Symplectic,
     check_gr2,
+    constant_vector,
+    cover_info,
+    detect_limit_case,
     dual_pair_bound,
     gaussian_moment,
+    infchar_Q,
+    infchar_theta,
+    lpn_oracle,
     odd_case_bound,
+    oscillator_bound,
     oscillator_coefficient,
+    oscillator_coefficient_quadrature,
+    parabolic_infchar_match,
+    predict_associated_variety,
     ss_bound_O_to_Sp,
     ss_bound_Sp_to_O,
 )
@@ -40,6 +55,47 @@ ERRORS = [
 def test_error_text(call, text):
     with pytest.raises(DomainError) as info:
         call()
+    assert str(info.value) == text
+
+
+# (call, error, text) for the remaining branches a line trace of the suite
+# found unreached
+RAISES = [
+    # the probe of the extreme nodes passes at order 371 (alpha + beta = 740);
+    # only the full build refuses, from 372 on the probe does
+    (lambda: oscillator_coefficient_quadrature([1.0], [740], [0]), OverflowError,
+     "Gauss-Hermite weights of order 371 exceed the double range"),
+    (lambda: oscillator_bound([1.0, 0.0]), DomainError,
+     "torus entries must be strictly positive"),
+    (lambda: lpn_oracle(ExponentVector([-1] * 5), 5, 4), DomainError,
+     "oracle limited to 16 cells, got 20"),
+    (lambda: DualPairChain("Mp", (Orthogonal(1, 1), Symplectic(1)), ExponentVector([-1])),
+     DomainError, "start_kind must be 'O' or 'Sp'"),
+    (lambda: infchar_theta("o2o", 1, 1, 1, InfChar()), DomainError,
+     "direction must be 'o2sp' or 'sp2o'"),
+    (lambda: infchar_Q("U", (1, 1, 1), InfChar()), DomainError, "kind must be 'O' or 'Sp'"),
+    (lambda: detect_limit_case("U", (1, 1, 1)), DomainError, "kind must be 'O' or 'Sp'"),
+    (lambda: predict_associated_variety("U", (1, 1, 1), Partition()), DomainError,
+     "kind must be 'O' or 'Sp'"),
+    (lambda: parabolic_infchar_match("Sp", (1, 2, 3, 1), InfChar()), DomainError,
+     "sizes do not satisfy the case III relation"),
+    (lambda: Orthogonal(-1, 2), DomainError, "p, q must be nonnegative"),
+    (lambda: cover_info((Orthogonal(1, 1), Orthogonal(1, 1)), "O"), DomainError,
+     "pair must consist of one O(p,q) and one Sp(2n)"),
+    (lambda: cover_info((Orthogonal(1, 1), Symplectic(1)), "Mp"), DomainError,
+     "side must be 'O' or 'Sp', got 'Mp'"),
+    (lambda: ExponentVector([]), DomainError, "ExponentVector needs dimension >= 1"),
+    (lambda: ExponentVector([1]) + ExponentVector([1, 2]), DomainError, "dimension mismatch"),
+    (lambda: ExponentVector([1]) - ExponentVector([1, 2]), DomainError, "dimension mismatch"),
+    (lambda: constant_vector(1, 0), DomainError, "dim must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call,error,text", RAISES)
+def test_raises(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
     assert str(info.value) == text
 
 

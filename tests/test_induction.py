@@ -78,35 +78,35 @@ def test_odd_range():
         in_odd_range_O_to_Sp(ev(-1, -1), 2, 2, 3)  # p+q even
 
 
-# each range predicate with the composition it replaced: the Fraction vector
-# lam - c*1 + k*rho(g) from rho_shift, then its dominance test
+def shifted_reference(lam, g, c, k):
+    """lam - c*1 + k*rho(g), transcribed in Fractions from rho(g)'s entries."""
+    return ExponentVector(F(x) - F(c) + k * r for x, r in zip(lam, rho(g)))
+
+
+# each range predicate with the composition it replaced: the group, c and k
+# of lam - c*1 + k*rho(g), and the dominance test of that vector
 RANGE_REFERENCES = [
-    (in_semistable_O_to_Sp,
-     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), n, 2), strictly_dominated),
-    (in_semistable_Sp_to_O,
-     lambda lam, p, q, n: rho_shift(lam, Symplectic(n), F(p + q, 2), 2), strictly_dominated),
-    (in_ss_O_to_Sp,
-     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), F(2 * n - (p + q), 2), 1),
+    (in_semistable_O_to_Sp, lambda p, q, n: (Orthogonal(p, q), n, 2), strictly_dominated),
+    (in_semistable_Sp_to_O, lambda p, q, n: (Symplectic(n), F(p + q, 2), 2), strictly_dominated),
+    (in_ss_O_to_Sp, lambda p, q, n: (Orthogonal(p, q), F(2 * n - (p + q), 2), 1),
      weakly_dominated),
-    (in_ss_Sp_to_O,
-     lambda lam, p, q, n: rho_shift(lam, Symplectic(n), F(p + q, 2) - n - 1, 1),
+    (in_ss_Sp_to_O, lambda p, q, n: (Symplectic(n), F(p + q, 2) - n - 1, 1),
      weakly_dominated),
-    (in_odd_range_O_to_Sp,
-     lambda lam, p, q, n: rho_shift(lam, Orthogonal(p, q), F(2 * n - (p + q - 1), 2), 1),
+    (in_odd_range_O_to_Sp, lambda p, q, n: (Orthogonal(p, q), F(2 * n - (p + q - 1), 2), 1),
      weakly_dominated),
 ]
 SP_FIRST = (in_semistable_Sp_to_O, in_ss_Sp_to_O)
 
 
 def reference_verdict(pred, lam, p, q, n):
-    _, shift, dominated = next(r for r in RANGE_REFERENCES if r[0] is pred)
-    return dominated(shift(lam, p, q, n))
+    _, shift_args, dominated = next(r for r in RANGE_REFERENCES if r[0] is pred)
+    return dominated(shifted_reference(lam, *shift_args(p, q, n)))
 
 
 @given(st.data())
 @settings(max_examples=300)
 def test_range_predicates_match_the_fraction_composition(data):
-    pred, shift, dominated = data.draw(st.sampled_from(RANGE_REFERENCES))
+    pred, shift_args, dominated = data.draw(st.sampled_from(RANGE_REFERENCES))
     sp_first = pred in SP_FIRST
     p = data.draw(st.integers(0 if sp_first else 1, 40), label="p")
     q = data.draw(st.integers(p, 40), label="q")
@@ -128,11 +128,14 @@ def test_range_predicates_match_the_fraction_composition(data):
         i = data.draw(st.integers(0, rank - 1))
         sums[i] = F(1, data.draw(st.integers(1, 10**6)))
     # lam is chosen so that its shifted vector has exactly these prefix sums
-    offset = shift(ExponentVector([0] * rank), p, q, n)
+    g, c, k = shift_args(p, q, n)
+    offset = shifted_reference([0] * rank, g, c, k)
     steps = [b - a for a, b in zip([0] + sums, sums)]
     lam = ExponentVector(x - o for x, o in zip(steps, offset))
-    shifted = shift(lam, p, q, n)
+    shifted = shifted_reference(lam, g, c, k)
     assert list(shifted.prefix_sums()) == sums
+    assert rho_shift(lam, g, c, k) == shifted
+    assert rho_shift(list(lam), g, c, k) == shifted
     want = dominated(shifted)
     assert pred(lam, p=p, q=q, n=n) is want
     assert pred(list(lam), p=p, q=q, n=n) is want

@@ -25,6 +25,8 @@ def test_gaussian_moments():
     assert gaussian_moment(2) == pytest.approx(root)
     assert gaussian_moment(4) == pytest.approx(3 * root)
     assert gaussian_moment(6) == pytest.approx(15 * root)
+    # the last even order whose moment is a double
+    assert gaussian_moment(300) == pytest.approx(9.408063010506738e306, rel=1e-15)
 
 
 def test_identity_reproduces_gaussian_norm():
@@ -280,6 +282,27 @@ def test_dual_pair_bound_monotone_in_a():
 def test_values_below_the_normal_double_range_raise(call):
     # never a silent 0.0 or a subnormal with lost digits
     with pytest.raises(OverflowError, match="below the normal double range"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    # the value is about 1e373.7
+    lambda: oscillator_coefficient_quadrature([1.0], [200], [200]),
+    lambda: oscillator_coefficient([1.0], [200], [200]),
+    lambda: gaussian_moment(400),
+    lambda: gaussian_moment(302),  # 301!! is 2.8e308
+    # two normal factors whose product is not
+    lambda: oscillator_coefficient([1.0, 1.0], [150, 150], [150, 150]),
+    lambda: oscillator_coefficient_quadrature([1.0, 1.0], [150, 150], [150, 150]),
+    # a term past the double range, though the closed form gives 9.408e156
+    # at the first and 0 at the odd orders (inf - inf in fsum, inf * 0)
+    lambda: oscillator_coefficient_quadrature([1e300], [300], [0]),
+    lambda: oscillator_coefficient_quadrature([1.0], [200], [201]),
+    lambda: oscillator_coefficient_quadrature([1.0, 1.0], [200, 0], [200, 1]),
+])
+def test_values_above_the_double_range_are_refused_by_name(call):
+    # never inf or nan, nor a library's own overflow text
+    with pytest.raises(OverflowError, match="above the double range$"):
         call()
 
 

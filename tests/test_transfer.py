@@ -20,7 +20,6 @@ from quantind import (
     strictly_dominated,
     weakly_dominated,
 )
-from quantind.vectors import rho_shift
 
 
 def ev(*entries):
@@ -151,14 +150,14 @@ def test_ss_delta_dependence_is_linear():
 
 def composed_O_to_Sp(p, q, n, lam):
     """L(p,n)(lam + 2 rho(O(p,q)) - n*1) - ((q-p)/2)*1, all in Fractions."""
-    shifted = rho_shift(lam, Orthogonal(p, q), n, 2)
+    shifted = ExponentVector(x - n + 2 * r for x, r in zip(lam, rho(Orthogonal(p, q))))
     assert strictly_dominated(shifted)
     return lpn(shifted, p, n).output.shift(F(p - q, 2))
 
 
 def composed_Sp_to_O(n, p, q, lam):
     """L(n,p)(lam + 2 rho(Sp(2n)) - ((p+q)/2)*1), all in Fractions."""
-    shifted = rho_shift(lam, Symplectic(n), F(p + q, 2), 2)
+    shifted = ExponentVector(x - F(p + q, 2) + 2 * r for x, r in zip(lam, rho(Symplectic(n))))
     assert strictly_dominated(shifted)
     return lpn(shifted, n, p).output
 
