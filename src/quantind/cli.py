@@ -246,16 +246,10 @@ def _cmd_verify_integral(args) -> int:
     from . import twisted
     lam = ExponentVector(_parse_csv(args.lam))
     direction = _parse_float_csv(args.ray)
-    if not 1.0 < args.tmax < float("inf"):
-        raise DomainError("tmax must be finite and exceed 1")
     if args.samples < 3:
         raise DomainError("need at least 3 samples")
     if args.samples > twisted.MAX_PANELS:  # a panel per point at least
         raise DomainError(f"at most {twisted.MAX_PANELS} samples")
-    if not twisted.converges(lam, args.p, args.n):
-        raise DomainError(
-            "integral diverges: some prefix sum of lambda - (n-1)*1 is nonnegative"
-        )
     step = (args.tmax - 1.0) / (args.samples - 1)  # the grid of np.linspace
     ts = [i * step + 1.0 for i in range(args.samples - 1)] + [args.tmax]
     ray = twisted.RaySpec(direction, ts)
@@ -374,14 +368,8 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
     out: list[str] = []
     it = iter(argv)
     for tok in it:
-        if tok in _VALUE_FLAGS:
-            val = next(it, None)
-            if val is None:
-                out.append(tok)
-            else:
-                out.append(f"{tok}={val}")
-        else:
-            out.append(tok)
+        val = next(it, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if val is None else f"{tok}={val}")
     return out
 
 

@@ -31,6 +31,7 @@ from .lpn import lpn
 from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
 
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
+_DIVERGES = "integral diverges: lambda - (n-1)*1 is not < 0"
 
 
 class RaySpec(_record("RaySpec", "direction t_values")):
@@ -47,9 +48,7 @@ class RaySpec(_record("RaySpec", "direction t_values")):
             raise DomainError("direction must be nonnegative and nonzero")
         if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
             raise DomainError("direction must be non-increasing")
-        if any(x < 0 for x in t) or any(
-            t[i] >= t[i + 1] for i in range(len(t) - 1)
-        ):
+        if any(x < 0 for x in t) or any(u >= v for u, v in zip(t, t[1:])):
             raise DomainError("t_values must be nonnegative and increasing")
         return tuple.__new__(cls, (d, t))
 
@@ -126,7 +125,9 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     eps L for it.  At t0 = (0, ..., 0, c),
     log f(t0) = m_p c - p sum_k log hypot(a_k e^{-c}, 1), with c the best of
     0 and the log a_k.  Raises OverflowError where L lies below the normal
-    double range, DomainError where the grid would exceed MAX_PANELS.
+    double range; DomainError where the grid would exceed MAX_PANELS or, at a
+    least margin below about 8e-307 (p = n = 1, a = 1), the double range, or
+    where doubles at the largest knot below p T lie wider apart than a panel.
     """
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
@@ -142,13 +143,15 @@ def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule, and eps for the tail), T and the node
-    count: the lambda side once per call, log f(t0) and T in plain loops."""
+    count: the lambda side and h0 once per call, log f(t0), T and the
+    refusals of each row in plain loops."""
     p, n = len(lam), len(log_a[0])
     D, rates, margins = _rates(lam, n)
     if not all(m < 0 for m in margins):
-        raise DomainError("integral diverges: lambda - (n-1)*1 is not < 0")
+        raise DomainError(_DIVERGES)
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
     slope, eps = min(map(abs, margins)), sys.float_info.epsilon
+    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))  # see `_iterated`
     Ts = []  # the tail outside [0, T]^p is at most eps L: see `evaluate`
     for row in log_a:
         # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
@@ -159,8 +162,17 @@ def _log_estimate(log_a, lam: ExponentVector):
                 d = k - c
                 acc += (d + abs(d) + math.log1p(math.exp(-2.0 * abs(d)))) / 2
             log_f0 = max(log_f0, margins[-1] * c - p * acc)
-        Ts.append((math.log(p / eps) - log_f0) / slope)
-    logs, errors, nodes = _iterated(log_a, rates, [p * T for T in Ts])
+        T = (math.log(p / eps) - log_f0) / slope if slope else math.inf
+        # grading toward min(p T, max log a_k), the largest knot below p T or
+        # p T itself, needs doubles h0 apart there; 2 (n + 1) rows p^2 T / h0
+        # then bounds every width, node and panel count of the grid
+        if not math.ulp(min(p * T, max(row))) <= h0:
+            raise DomainError(f"log a is too large: panels {h0:.3g} wide are not resolved")
+        if not 2 * (n + 1) * len(log_a) * p * p * T / h0 < math.inf:
+            raise DomainError(f"the least margin {slope:.3g} of lambda - (n-1)*1 is too "
+                              f"small for panels {h0:.3g} wide")
+        Ts.append(T)
+    logs, errors, nodes = _iterated(log_a, rates, h0, [p * T for T in Ts])
     return logs, [e + eps for e in errors], Ts, nodes
 
 
@@ -193,7 +205,7 @@ def _panel_rule():
     return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
 
 
-def _iterated(log_a, rates, S):
+def _iterated(log_a, rates, h0, S):
     """log L, its relative error and the node count at each row of log_a, as
     an iterated one-dimensional integral on s in [0, S], one S per row.
 
@@ -220,21 +232,18 @@ def _iterated(log_a, rates, S):
     in place to the widest with copies of its last edge: zero-width panels,
     which add exactly -inf.  Each row's gaps and panel count come from one
     plain loop; more than MAX_PANELS panels, padding included, are refused
-    before any edge is built, and so is an S where doubles lie more than h0
-    apart.  No level underflows, yet only panel quantities are
-    logs: the totals and F_i(right end) / F_i(S); F_i at the nodes is a
-    fraction of F_i(right end).  The node log hypot(e^d, 1) is
-    (max(2d, 0) + log1p(e^-|2d|)) / 2, e^-|2d| clamped at e^-700, below every
-    ulp of the sum, to keep np.exp off its slow subnormal path.  log L so
-    rests on numpy's exp, log and log1p, which may move it by an ulp with
-    numpy's SIMD dispatch; log f(t0) and T stay in `math`, where numpy's
-    rounding cannot move T.
+    before any edge is built (`_log_estimate` refuses first a row with a
+    knot h0 does not resolve or with counts past the double range).  No
+    level underflows, yet only panel quantities are logs: the totals and
+    F_i(right end) / F_i(S); F_i at the nodes is a fraction of F_i(right
+    end).  The node log hypot(e^d, 1) is (max(2d, 0) + log1p(e^-|2d|)) / 2,
+    e^-|2d| clamped at e^-700, below every ulp of the sum, to keep np.exp
+    off its slow subnormal path.  log L so rests on numpy's exp, log and
+    log1p, which may move it by an ulp with numpy's SIMD dispatch; log f(t0)
+    and T stay in `math`, where numpy's rounding cannot move T.
     """
     import numpy as np
     n = len(log_a[0])
-    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))
-    if not math.ulp(max(S)) <= h0:
-        raise DomainError(f"log a is too large: panels {h0:.3g} wide are not resolved")
     caps = []  # caps[c]: the width cap above a knot with c of the log a_k at or past it
     for c in range(n + 1):
         G = 0.0
@@ -373,6 +382,8 @@ def check_gr2(
         raise DomainError("delta must be in (0, 1)")
     if not rays:
         raise DomainError("need at least one ray")
+    if not converges(lam, p, n):  # lpn would refuse it too, as not lambda < 0
+        raise DomainError(_DIVERGES)
     mu_bound = lpn(lam, p, n).output
     rate_coeffs = mu_bound.floats()
     checks: list[RayCheck] = []

@@ -428,6 +428,72 @@ def test_verify_integral_refuses_more_samples_than_panels(capsys, monkeypatch):
     assert err == "error: at most 4 samples\n"
 
 
+def test_verify_integral_near_divergent_lambda(capsys):
+    # margin -1e-15: L ~ 1e15 along the ray, a verdict rather than a refusal
+    code, out, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda",
+        "-1/1000000000000000", "--ray", "1", "--tmax", "6", "--samples", "6",
+        "--delta", "0.05",
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: pass\n")
+
+
+@pytest.mark.parametrize("k", [320, 400])
+def test_verify_integral_margin_too_small_is_refused_by_name(capsys, k):
+    code, out, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda",
+        f"-1/{10**k}", "--ray", "1", "--tmax", "6", "--samples", "6",
+        "--delta", "0.05",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the least margin ") and err.count("\n") == 1
+
+
+# chain documents for CLI_CASES, written as {tmp}/<name>
+CLI_CHAINS = {
+    "kind_u.json": {"start": "O", "lambda": ["-1"], "groups": [{"kind": "U", "n": 1}]},
+    "two.json": {"start": "O", "lambda": ["-1"],
+                 "groups": [{"kind": "O", "p": 1, "q": 1}, {"kind": "Sp", "n": 1}]},
+    "sp3.json": {"start": "Sp", "lambda": ["-3"],
+                 "groups": [{"kind": "Sp", "n": 1}, {"kind": "O", "p": 1, "q": 2},
+                            {"kind": "Sp", "n": 3}]},
+}
+
+# (argv, exit code, stdout, last line of stderr) for branches of the front end
+CLI_CASES = [
+    (["order", "--rel", "strict", "--x", "1,,2"], 2, "", "error: empty rational field"),
+    (["order", "--rel", "strict", "--x", "1/0"], 2, "",
+     "error: bad rational '1/0': Fraction(1, 0)"),
+    (["order", "--rel", "strict", "--x", "(-1,-2)"], 0, "true\n", None),
+    (["rho", "--group", "O:1"], 2, "", "error: bad group spec 'O:1'"),
+    (["chain", "--file", "{tmp}/kind_u.json"], 2, "",
+     "error: malformed chain document: unknown group kind 'U'"),
+    (["bound", "--dir", "sp2o", "--n", "2", "--p", "3", "--q", "4", "--lambda", "-5/2,-7/6"],
+     0, "(-2,-2,-2/3)\n", None),
+    (["av", "--file", "{tmp}/two.json", "--d", "1"], 2, "",
+     "error: associated-variety prediction needs a 3-group chain"),
+    # Sp-first sizes (n, p, q, n') = (1, 1, 2, 3) prepend (3, 1) to d^T = (1, 1)
+    (["av", "--file", "{tmp}/sp3.json", "--d", "2"], 0, "(4,1,1) [conjectural]\n", None),
+    (["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2", "--ray", "1",
+      "--tmax", "6", "--samples", "1", "--delta", "0.05"], 2, "",
+     "error: need at least 3 samples"),
+    (["oscillator", "--a", "abc", "--alpha", "1", "--beta", "1"], 2, "",
+     "error: malformed input: could not convert string to float: 'abc'"),
+    # a value flag last, with no value: argparse's own usage error
+    (["order", "--rel", "strict", "--x"], 2, "",
+     "quantind order: error: argument --x: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", CLI_CASES)
+def test_cli_branches(capsys, tmp_path, argv, code, out, err):
+    for name, doc in CLI_CHAINS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    got = invoke(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (got[0], got[1], got[2].splitlines()[-1:]) == (code, out, [err] if err else [])
+
+
 VERIFY_ARGS = ["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2",
                "--samples", "5", "--delta", "0.05"]
 

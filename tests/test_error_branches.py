@@ -35,32 +35,22 @@ from quantind import (
     ss_bound_Sp_to_O,
 )
 
+# (call, error, text) for branches a line trace of the suite found unreached
 ERRORS = [
     (lambda: check_gr2(ExponentVector([-1]), 1, 1, [RaySpec([1.0, 0.5], [1.0, 2.0, 3.0])]),
-     "ray dimension must equal n"),
-    (lambda: ss_bound_O_to_Sp(0, 3, 1), "need p >= 1 and n >= 1"),
-    (lambda: ss_bound_Sp_to_O(1, 0, 3), "need p >= 1"),
-    (lambda: odd_case_bound(0, 3, 1), "need p >= 1 and n >= 1"),
-    (lambda: odd_case_bound(1, 3, 2), "p+q must be odd"),
-    (lambda: odd_case_bound(2, 3, 1), "requires p+q <= 2n+1"),
-    (lambda: oscillator_coefficient([1.0], [0, 0], [0]), "alpha must have length 1"),
-    (lambda: oscillator_coefficient([1.0], [0], [-1]), "beta entries must be nonnegative"),
-    (lambda: dual_pair_bound([1.0], [1.0, 1.0], 2, 1), "need 0 <= p <= q"),
-    (lambda: dual_pair_bound([1.0], [1.0], 2, 3), "b must have length p=2"),
-    (lambda: gaussian_moment(-1), "moment order must be nonnegative"),
-]
-
-
-@pytest.mark.parametrize("call,text", ERRORS)
-def test_error_text(call, text):
-    with pytest.raises(DomainError) as info:
-        call()
-    assert str(info.value) == text
-
-
-# (call, error, text) for the remaining branches a line trace of the suite
-# found unreached
-RAISES = [
+     DomainError, "ray dimension must equal n"),
+    (lambda: ss_bound_O_to_Sp(0, 3, 1), DomainError, "need p >= 1 and n >= 1"),
+    (lambda: ss_bound_Sp_to_O(1, 0, 3), DomainError, "need p >= 1"),
+    (lambda: odd_case_bound(0, 3, 1), DomainError, "need p >= 1 and n >= 1"),
+    (lambda: odd_case_bound(1, 3, 2), DomainError, "p+q must be odd"),
+    (lambda: odd_case_bound(2, 3, 1), DomainError, "requires p+q <= 2n+1"),
+    (lambda: oscillator_coefficient([1.0], [0, 0], [0]), DomainError,
+     "alpha must have length 1"),
+    (lambda: oscillator_coefficient([1.0], [0], [-1]), DomainError,
+     "beta entries must be nonnegative"),
+    (lambda: dual_pair_bound([1.0], [1.0, 1.0], 2, 1), DomainError, "need 0 <= p <= q"),
+    (lambda: dual_pair_bound([1.0], [1.0], 2, 3), DomainError, "b must have length p=2"),
+    (lambda: gaussian_moment(-1), DomainError, "moment order must be nonnegative"),
     # the probe of the extreme nodes passes at order 371 (alpha + beta = 740);
     # only the full build refuses, from 372 on the probe does
     (lambda: oscillator_coefficient_quadrature([1.0], [740], [0]), OverflowError,
@@ -91,7 +81,7 @@ RAISES = [
 ]
 
 
-@pytest.mark.parametrize("call,error,text", RAISES)
+@pytest.mark.parametrize("call,error,text", ERRORS)
 def test_raises(call, error, text):
     with pytest.raises(error) as info:
         call()

@@ -381,6 +381,14 @@ def test_fit_decay_scalar():
     assert fit_decay(long_ray, ev(F(-1, 2))) == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_fit_decay_falls_back_to_the_tail_slope_on_linear_logs(monkeypatch):
+    # exactly linear logs: the slopes have second difference 0.0, where the
+    # Aitken step would divide by zero, and the last slope comes back
+    ts = (1.0, 2.0, 3.0, 4.0, 5.0)
+    monkeypatch.setattr(twisted, "_ray_logs", lambda ray, lam: (ts, [-0.75 * t for t in ts]))
+    assert fit_decay(RaySpec([1.0], ts), ev(-2)) == -0.75
+
+
 def test_fit_decay_long_diagonal_below_double_range():
     # L at t = 250 is about e^-1000, below the double range, yet its log is
     # the recursion's own: the slope tends to the Laplace rate E = -4 of
@@ -587,6 +595,32 @@ def test_margin_of_exactly_zero_diverges(lam, n):
         twisted._log_estimate([[1.0] * n], lam)
     with pytest.raises(DomainError, match="integral diverges"):
         evaluate([2.0] * n, lam)
+
+
+@pytest.mark.parametrize("a", [1.0, 20.0])
+@pytest.mark.parametrize("k", [15, 30, 100, 300])
+def test_near_divergent_lambda_evaluates(a, k):
+    # p = n = 1, lambda = -10^-k: L = 1/|lambda| + log(2/a) - asinh(1/a) up
+    # to O(|lambda|); the grid reaches p T ~ 36 10^k, yet its knots, 0 and
+    # log a, are resolved
+    est = evaluate([a], ExponentVector([F(-1, 10**k)]))
+    ref = 10.0**k + (math.log(2.0 / a) - math.asinh(1.0 / a))
+    assert abs(est.value - ref) <= est.abs_error
+    assert abs(est.value - ref) <= 2e-13 * ref
+
+
+@pytest.mark.parametrize("rows,lam", [
+    ([[0.0]], [F(-1, 10**320)]),  # T = inf
+    ([[0.0]], [F(-1, 10**400)]),  # the margin floats to 0
+    ([[0.0]], [F(-4, 10**307)]),  # 2 p T past the double range
+    ([[0.0, 0.0]], [1 - F(3, 10**307)]),  # p T / h0 past it, h0 = 1/2
+    ([[0.0]], [F(-1, 10**7), -(10**300)]),  # h0 = 1e-300
+    ([[0.0]], [F(-1, 10**306)] * 4),  # p T / cap past it
+    ([[0.0]] * 11, [F(-2, 10**306)] * 2),  # the panel count past it
+])
+def test_margin_too_small_for_the_grid_is_refused_by_name(rows, lam):
+    with pytest.raises(DomainError, match=r"^the least margin .* is too small"):
+        twisted._log_estimate(rows, ExponentVector(lam))
 
 
 def test_node_log_hypot_is_finite_without_warnings():

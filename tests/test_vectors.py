@@ -197,3 +197,14 @@ def test_infchar_signed_permutation_invariance(values, rng):
 def test_infchar_oplus():
     chi = InfChar([F(1, 2)]).oplus([-1, F(3, 2)])
     assert chi.canonical_form == (F(3, 2), F(1), F(1, 2))
+
+
+def test_value_types_refuse_assignment_and_print_themselves():
+    v, chi = ExponentVector([-1, F(1, 2)]), InfChar([F(1, 2), -1])
+    with pytest.raises(AttributeError, match="ExponentVector is immutable"):
+        v.entries = (F(0),)
+    with pytest.raises(AttributeError, match="InfChar is immutable"):
+        chi.values = ()
+    assert len(chi) == 2
+    assert repr(chi) == "InfChar(['1/2', '-1'])"
+    assert str(Orthogonal(2, 3)) == "O(2,3)"
