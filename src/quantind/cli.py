@@ -138,6 +138,7 @@ def _cmd_lpn(args) -> int:
     from .lpn import lpn, lpn_oracle
     lam = ExponentVector(_parse_csv(args.lam))
     result = lpn(lam, args.p, args.n)
+    oracle = args.oracle and lpn_oracle(lam, args.p, args.n)  # before any output: it may refuse
     print(_fmt_vec(result.output))
     if args.witness:
         w = result.witness
@@ -146,7 +147,6 @@ def _cmd_lpn(args) -> int:
         for row in w.eta:
             print("eta: " + _fmt_vec(row))
     if args.oracle:
-        oracle = lpn_oracle(lam, args.p, args.n)
         match = oracle == result.output
         print(f"oracle: {_fmt_vec(oracle)} "
               f"({'match' if match else 'MISMATCH'})")
@@ -229,10 +229,10 @@ def _cmd_oscillator(args) -> int:
     a = _parse_float_csv(args.a)
     alpha = [int(x) for x in args.alpha.split(",")]
     beta = [int(x) for x in args.beta.split(",")]
-    val = oscillator.oscillator_coefficient(a, alpha, beta)
+    val = oscillator.oscillator_coefficient(a, alpha, beta)  # both before any output
+    quad = args.check_quadrature and oscillator.oscillator_coefficient_quadrature(a, alpha, beta)
     print(f"value: {_fmt_float(val)}")
     if args.check_quadrature:
-        quad = oscillator.oscillator_coefficient_quadrature(a, alpha, beta)
         scale = max(abs(val), abs(quad), 1e-300)
         rel = abs(val - quad) / scale
         print(f"quadrature: {_fmt_float(quad)}")

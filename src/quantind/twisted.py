@@ -143,15 +143,18 @@ def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule, and eps for the tail), T and the node
-    count: the lambda side and h0 once per call, log f(t0), T and the
-    refusals of each row in plain loops."""
+    count: the lambda side, h0 and the width caps once per call, log f(t0),
+    T, the refusals and the grid table of each row in plain loops."""
     p, n = len(lam), len(log_a[0])
     D, rates, margins = _rates(lam, n)
     if not all(m < 0 for m in margins):
         raise DomainError(_DIVERGES)
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
     slope, eps = min(map(abs, margins)), sys.float_info.epsilon
-    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))  # see `_iterated`
+    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))  # see `_knots`
+    # caps[c]: 2 / G above a knot with c of the log a_k at or past it (`_knots`)
+    caps = [2.0 / G if G else math.inf
+            for G in [_lsum([r + c for r in rates[1:] if r + c > 0]) for c in range(n + 1)]]
     Ts = []  # the tail outside [0, T]^p is at most eps L: see `evaluate`
     for row in log_a:
         # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
@@ -172,8 +175,59 @@ def _log_estimate(log_a, lam: ExponentVector):
             raise DomainError(f"the least margin {slope:.3g} of lambda - (n-1)*1 is too "
                               f"small for panels {h0:.3g} wide")
         Ts.append(T)
-    logs, errors, nodes = _iterated(log_a, rates, h0, [p * T for T in Ts])
-    return logs, [e + eps for e in errors], Ts, nodes
+    tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
+    panels = len(tables) * max([sum([1 + e[3] + e[4] for e in t]) for t in tables])  # 1 + j + k
+    if panels > MAX_PANELS:  # rows padded to the widest: refused before any edge
+        raise DomainError(f"the integral needs about {panels:.3g} panels")
+    doublings = [0.0] + [h0 * 2.0**i for i in range(max([e[3] for t in tables for e in t]))]
+    edges = []
+    for table, T in zip(tables, Ts):  # {p T} U {knot + sign w : w a side's offsets}
+        row = [p * T]
+        for knot, sign, cap, j, k in table:
+            w = doublings[:j + 1] + [cap * i for i in range(1, k + 1)] if k else doublings[:j + 1]
+            row += [knot + sign * x for x in w]
+        edges.append(sorted(set(row)))
+    counts = [len(row) - 1 for row in edges]  # panels per row
+    for row in edges:  # padded to the widest with copies of the last edge
+        row += row[-1:] * (max(counts) + 1 - len(row))
+    logs, errors = _iterated(log_a, rates, edges, counts)
+    return logs, [e + eps for e in errors], Ts, [p * 30 * count for count in counts]
+
+
+def _knots(row, end, caps, h0):
+    """One row's grid as a table: an entry (knot, sign, cap, j, k) for each
+    graded side of a gap between the knots {0} U {log a_k < end}; the last
+    gap runs up to end, which grades nothing.  From its knot, toward sign,
+    a side's panels are h0, h0, 2 h0, 4 h0, ... wide up to the gap's middle
+    (the last gap: up to end) and at most the cap: j doublings, then k cap
+    widths.  So every panel is at most its gap's cap wide but the one across
+    the middle of a gap between two knots, where two sides meet: twice that.
+
+    Each g_i of `_iterated` is analytic in |Im s| < pi/2, its singularities
+    lie above the knots s = log a_k, and between knots log g_i is nearly
+    linear.  So a panel as wide as its distance to the nearest knot, but at
+    least h0 = 1 / max(1, steepest slope of log g_i), keeps the error
+    falling geometrically in q (Trefethen, SIAM Review 2008; Babuska-Guo,
+    Comput. Mech. 1986) with O(log end) panels per knot.  Above a knot lo
+    the inner F grow at most like e^{G s}, G = sum_{i >= 2} (lambda_i + 1 -
+    #{k : log a_k < lo})_+, and caps[c], c the log a_k at or past lo, is
+    2 / G: so the inner F inside a panel, which the next level reads, stay
+    good to the q = 10 collocation order.
+    """
+    row = sorted(row)
+    knots = [k for k in sorted({0.0, *row}) if k < end]
+    table, below, n = [], 0, len(row)  # below: the log a_k < lo
+    for lo, hi in zip(knots, knots[1:] + [end]):
+        while below < n and row[below] < lo:
+            below += 1
+        last = hi == end  # the knots lie below end
+        L, cap = (hi - lo) / (1 if last else 2), caps[n - below]
+        j = max(0, math.ceil(math.log2(min(L, cap) / h0)))
+        k = max(0, math.ceil(L / cap) - 1)
+        table.append((lo, 1.0, cap, j, k))
+        if not last:
+            table.append((hi, -1.0, cap, j, k))
+    return table
 
 
 def _lsum(terms):
@@ -205,9 +259,9 @@ def _panel_rule():
     return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
 
 
-def _iterated(log_a, rates, h0, S):
-    """log L, its relative error and the node count at each row of log_a, as
-    an iterated one-dimensional integral on s in [0, S], one S per row.
+def _iterated(log_a, rates, edges, counts):
+    """log L and its relative error at each row of log_a: an iterated 1-d
+    integral on the row's edges from 0 to S, counts[row] panels, then padding.
 
     In s_i = t_i + ... + t_p = log b_i the integrand is prod_i g_i(s_i),
     g_i(s) = e^{(lambda_i + 1) s} prod_k (a_k^2 + e^{2s})^{-1/2}, on
@@ -216,25 +270,12 @@ def _iterated(log_a, rates, h0, S):
     the slope of log g_i beyond the last knot max log a_k.  With F_i at the
     nodes of Gauss-Legendre panels from `_panel_rule`'s matrix, this is
     Gauss collocation for F_i' = g_i F_{i+1}, of order 2q at panel ends;
-    the outermost level needs only the panel totals.  Each g_i is analytic
-    in |Im s| < pi/2, its singularities lie above the knots s = log a_k, and
-    between knots log g_i is nearly linear.  So a panel as wide as its
-    distance to the nearest knot in {0} U {log a_k}, but at least h0 = 1 /
-    max(1, steepest slope of log g_i), keeps the error falling geometrically
-    in q (Trefethen, SIAM Review 2008; Babuska-Guo, Comput. Mech. 1986) with
-    O(log S) panels per knot.  The error figure is |I_20 - I_10| / I_20 plus
-    the rounding of the per-level log totals; both rules run on the same
-    nodes in one pass.  Above a knot lo the inner F grow at most like
-    e^{G s}, with G = sum_{i >= 2} (lambda_i + 1 - #{k : log a_k < lo})_+;
-    widths in that gap are capped at 2 / G, so that their values inside a
-    panel, which the next level reads, stay good to the q = 10 collocation
-    order.  The rows share one recursion on a leading axis, each grid padded
-    in place to the widest with copies of its last edge: zero-width panels,
-    which add exactly -inf.  Each row's gaps and panel count come from one
-    plain loop; more than MAX_PANELS panels, padding included, are refused
-    before any edge is built (`_log_estimate` refuses first a row with a
-    knot h0 does not resolve or with counts past the double range).  No
-    level underflows, yet only panel quantities are logs: the totals and
+    the outermost level needs only the panel totals.  The error figure is
+    |I_20 - I_10| / I_20 plus the rounding of the per-level log totals; both
+    rules run on the same nodes in one pass.  The rows share one recursion
+    on a leading axis, each grid padded to the widest with copies of its
+    last edge: zero-width panels, which add exactly -inf.  No level
+    underflows, yet only panel quantities are logs: the totals and
     F_i(right end) / F_i(S); F_i at the nodes is a fraction of F_i(right
     end).  The node log hypot(e^d, 1) is (max(2d, 0) + log1p(e^-|2d|)) / 2,
     e^-|2d| clamped at e^-700, below every ulp of the sum, to keep np.exp
@@ -243,47 +284,6 @@ def _iterated(log_a, rates, h0, S):
     and T stay in `math`, where numpy's rounding cannot move T.
     """
     import numpy as np
-    n = len(log_a[0])
-    caps = []  # caps[c]: the width cap above a knot with c of the log a_k at or past it
-    for c in range(n + 1):
-        G = 0.0
-        for r in rates[1:]:
-            G += max(r + c, 0.0)
-        caps.append(2.0 / G if G else math.inf)
-    grids, widest = [], 0  # per row: S and its gaps (lo, hi, cap, j, k)
-    for row, end in zip(log_a, S):
-        row = sorted(row)
-        knots = [k for k in sorted({0.0, *row}) if k < end]
-        # a gap between knots is graded toward both its ends, the last one,
-        # up to S (hi = None), toward its knot only: widths h0, h0, 2 h0, ...
-        # away from the knot, at most the cap: j doublings, then k cap widths
-        gaps, below, panels = [], 0, 0  # below: the log a_k < lo
-        for lo, hi in zip(knots, knots[1:] + [None]):
-            while below < n and row[below] < lo:
-                below += 1
-            L = end - lo if hi is None else (hi - lo) / 2
-            cap = caps[n - below]
-            j = max(0, math.ceil(math.log2(min(L, cap) / h0)))
-            k = max(0, math.ceil(L / cap) - 1)
-            gaps.append((lo, hi, cap, j, k))
-            panels += (1 + j + k) * (1 if hi is None else 2)
-        grids.append((end, gaps))
-        widest = max(widest, panels)
-    panels = len(grids) * widest
-    if panels > MAX_PANELS:
-        raise DomainError(f"the integral needs about {panels:.3g} panels")
-    doublings = [0.0] + [h0 * 2.0**i for i in range(max(g[3] for _, gs in grids for g in gs))]
-    edges = []
-    for end, gaps in grids:
-        row = [end]
-        for lo, hi, cap, j, k in gaps:
-            offsets = doublings[:j + 1] + ([cap * i for i in range(1, k + 1)] if k else [])
-            row += [lo + w for w in offsets] + ([] if hi is None else [hi - w for w in offsets])
-        edges.append(sorted(set(row)))
-    counts = [len(row) - 1 for row in edges]  # panels per row
-    width = max(counts) + 1
-    for row in edges:  # padded to the widest with copies of the last edge
-        row += row[-1:] * (width - len(row))
     edges = np.array(edges, dtype=float)
     half = (edges[:, 1:, None] - edges[:, :-1, None]) / 2.0
     x1, W, CW, rule2 = _panel_rule()
@@ -328,7 +328,7 @@ def _iterated(log_a, rates, h0, S):
         rounding = 8.0 * sys.float_info.epsilon * size
         logs.append(log_20)
         errors.append(abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
-    return logs, errors, [len(rates) * 30 * count for count in counts]
+    return logs, errors
 
 
 def _ray_logs(ray: RaySpec, lam: ExponentVector):

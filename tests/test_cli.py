@@ -483,6 +483,16 @@ CLI_CASES = [
     # a value flag last, with no value: argparse's own usage error
     (["order", "--rel", "strict", "--x"], 2, "",
      "quantind order: error: argument --x: expected one argument"),
+    # exit 2 prints nothing on stdout: the oracle and the quadrature refuse
+    # before the value they would check is printed
+    (["lpn", "--p", "5", "--n", "5", "--lambda", "-1,-1,-1,-1,-1", "--oracle"], 2, "",
+     "error: oracle limited to 16 cells, got 25"),
+    (["oscillator", "--a", "1e300", "--alpha", "300", "--beta", "0", "--check-quadrature"],
+     2, "", "error: numerical overflow: the quadrature coefficient or a term of it is above "
+     "the double range"),
+    (["oscillator", "--a", "1", "--alpha", "200", "--beta", "201", "--check-quadrature"],
+     2, "", "error: numerical overflow: the quadrature coefficient or a term of it is above "
+     "the double range"),
 ]
 
 

@@ -487,6 +487,85 @@ def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
         fit_decay(ray, ev("-1/2"))
 
 
+def test_grid_rules_hold_on_every_row(monkeypatch):
+    # each row's table from `_knots` against the edges the recursion gets:
+    # they run from 0 to p T through every knot below it; the table counts
+    # at least the panels built, so MAX_PANELS never undercounts; the first
+    # panel from a graded knot is min(h0, cap) wide where its side reaches
+    # that far; and no panel is wider than its gap's cap 2 / G, but for the
+    # one across the middle of a gap between two knots: at most twice that
+    tables, grids, seen = [], [], dict.fromkeys(("rows", "cap", "past", "near", "mid"), 0)
+    knots, limit = twisted._knots, twisted.MAX_PANELS
+
+    def table(row, end, caps, h0):
+        tables.append((row, end, h0, knots(row, end, caps, h0)))
+        return tables[-1][-1]
+
+    def recursion(log_a, rates, edges, counts):  # the grid only
+        grids.extend(zip(edges, counts))
+        return [0.0] * len(edges), [0.0] * len(edges)
+
+    monkeypatch.setattr(twisted, "_knots", table)
+    monkeypatch.setattr(twisted, "_iterated", recursion)
+    rng = random.Random(26)
+    for _ in range(400):
+        p, n = rng.randint(1, 4), rng.randint(1, 3)
+        rates = [-F(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(p)]
+        near = rng.random() < 0.3  # the first margin -10^-k
+        if near:
+            rates[0] = -F(1, 10 ** rng.randint(1, 4))
+        if p > 1 and rng.random() < 0.4:  # lambda_i + 1 - c > 0 for some c
+            rates[rng.randrange(1, p)] = F(rng.randint(-2 * n, 2), 2) + F(1, 3)
+        top = max(itertools.accumulate(rates))
+        if top >= 0:  # convergent again, with the least margin -1/7
+            rates[0] -= top + F(1, 7)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            row = [rng.choice((0.0, rng.uniform(0, 30), rng.uniform(0, 3000))) for _ in range(n)]
+            rows.append(row[:1] * n if rng.random() < 0.2 else row)
+        tables.clear(), grids.clear()
+        lam = ev(*[r + n - 1 for r in rates])
+        try:
+            twisted._log_estimate(rows, lam)
+        except DomainError as exc:
+            assert "panels" in str(exc)
+            continue
+        for (row, end, h0, entries), (edges, count) in zip(tables, grids):
+            edges = edges[:count + 1]
+            ends = sorted(k for k in {0.0, *row} if k < end) + [end]
+            assert edges[0] == 0.0 and edges[-1] == end
+            assert all(u < v for u, v in zip(edges, edges[1:]))
+            assert set(ends) <= set(edges)
+            assert sum(1 + j + k for *_, j, k in entries) >= count
+            sides = {(knot, sign): cap for knot, sign, cap, *_ in entries}
+            seen["rows"] += 1
+            seen["past"] += max(row) >= end
+            seen["near"] += near
+            for lo, hi in zip(ends, ends[1:]):
+                G = 0.0
+                for r in rates[1:]:
+                    G += max(float(r) + (n - sum(k < lo for k in row)), 0.0)
+                cap, last = 2.0 / G if G else math.inf, hi == end
+                assert sides[lo, 1.0] == cap and (last or sides[hi, -1.0] == cap)
+                seen["cap"] += cap < math.inf
+                reach, tol = (hi - lo) / (1 if last else 2), 4 * math.ulp(hi)
+                inside = [e for e in edges if lo <= e <= hi]
+                if reach > min(h0, cap) + tol:
+                    assert abs(inside[1] - lo - min(h0, cap)) <= tol
+                    assert last or abs(hi - inside[-2] - min(h0, cap)) <= tol
+                for u, v in zip(inside, inside[1:]):
+                    middle = not last and u <= lo + reach <= v
+                    assert v - u <= (2 if middle else 1) * cap + tol
+                    seen["mid"] += middle and v - u > cap + tol
+        # the limit counts the rows times the widest table, padding included
+        need = len(rows) * max(sum(1 + j + k for *_, j, k in t[-1]) for t in tables)
+        monkeypatch.setattr(twisted, "MAX_PANELS", need - 1)
+        with pytest.raises(DomainError, match=re.escape(f"needs about {need:.3g} panels")):
+            twisted._log_estimate(rows, lam)
+        monkeypatch.setattr(twisted, "MAX_PANELS", limit)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
 # log L, T and the node count of `_log_estimate` since T puts the tail at
 # one epsilon of L, as float.hex (each log L that this moved, all at p = 1,
 # moved toward a 40-digit mpmath value): p = 1-5, n = 1-3, repeated and zero
