@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
 
 from .vectors import (
     DomainError,
@@ -26,10 +26,6 @@ from .vectors import (
     strictly_dominated,
     weakly_dominated,
 )
-
-# each subcommand imports its own layer, so a cold process loads only those
-if TYPE_CHECKING:
-    from . import induction
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -76,7 +72,7 @@ def _fmt_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def _load_chain(path: str) -> induction.DualPairChain:
+def _load_chain(path: str):
     import json
     from . import induction
     try:
@@ -102,14 +98,6 @@ def _load_chain(path: str) -> induction.DualPairChain:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed chain document: {exc}") from exc
     return induction.DualPairChain(start, tuple(groups), lam)
-
-
-def _report_doc(rep: induction.ValidationReport) -> dict:
-    return {
-        "verdict": "pass" if rep.verdict else "fail",
-        "steps": [s._asdict() for s in rep.steps],
-        "bounds": [[str(e) for e in b] for b in rep.bounds],
-    }
 
 
 def _emit_json(doc: dict) -> None:
@@ -184,7 +172,9 @@ def _cmd_chain(args) -> int:
     chain = _load_chain(args.file)
     rep = induction.validate_chain(chain)
     if args.json:
-        _emit_json(_report_doc(rep))
+        _emit_json({"verdict": "pass" if rep.verdict else "fail",
+                    "steps": [s._asdict() for s in rep.steps],
+                    "bounds": [[str(e) for e in b] for b in rep.bounds]})
     else:
         for s in rep.steps:
             mark = "ok " if s.ok else "FAIL"

@@ -12,8 +12,8 @@ and flagged as such.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from . import transfer
 from .vectors import (
@@ -31,12 +31,8 @@ from .vectors import (
 )
 
 
-class StepRecord(NamedTuple):
-    id: str
-    inequality: str
-    lhs: str
-    rhs: str
-    ok: bool
+class StepRecord(_record("StepRecord", "id inequality lhs rhs ok")):
+    __slots__ = ()
 
 
 class ValidationReport(_record("ValidationReport", "steps bounds")):
@@ -402,9 +398,8 @@ def parabolic_infchar_match(kind: str, sizes: Sequence[int], chi: InfChar) -> bo
 # associated varieties (conjectural)
 
 
-class AVPrediction(NamedTuple):
-    partition: Partition
-    conjectural: bool = True
+class AVPrediction(_record("AVPrediction", "partition conjectural", defaults=(True,))):
+    __slots__ = ()
 
 
 def predict_associated_variety(

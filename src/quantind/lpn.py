@@ -23,30 +23,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import NamedTuple
 
-from .vectors import DomainError, ExponentVector, _over, _size
+from .vectors import DomainError, ExponentVector, _over, _record, _size
 
 ORACLE_MAX_CELLS = 16  # the oracle enumerates 2^m structures, m <= p
 
 
-class BreakpointSequence(NamedTuple):
+class BreakpointSequence(_record("BreakpointSequence", "indices budgets")):
     """Indices 1 <= j_1 < ... < j_m = p with strictly increasing budgets.
 
     budgets[s] is the cumulative cap -sum(lambda[:j_s]) active at j_s.
     """
 
-    indices: tuple[int, ...]
-    budgets: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-class EtaAssignment(NamedTuple):
-    """The greedy block totals and row sums witnessing an L(p,n) value."""
+class EtaAssignment(_record("EtaAssignment", "mu totals block_structure cases")):
+    """The greedy block totals and row sums witnessing an L(p,n) value: totals
+    and cases hold one entry per block between consecutive breakpoints, the
+    case "ar2" (cumulative equality) or "ar3" (all ones)."""
 
-    mu: tuple[Fraction, ...]
-    totals: tuple[Fraction, ...]  # per block between consecutive breakpoints
-    block_structure: BreakpointSequence
-    cases: tuple[str, ...]  # "ar2" (cumulative equality) or "ar3" (all ones)
+    __slots__ = ()
 
     @property
     def eta(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -69,10 +66,8 @@ class EtaAssignment(NamedTuple):
         return tuple(tuple(row) for row in eta)
 
 
-class LpnResult(NamedTuple):
-    mu: ExponentVector
-    output: ExponentVector
-    witness: EtaAssignment
+class LpnResult(_record("LpnResult", "mu output witness")):
+    __slots__ = ()
 
 
 def breakpoints(lam: ExponentVector, p: int | None = None) -> BreakpointSequence:

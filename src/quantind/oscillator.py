@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .vectors import DomainError, _normal, _normal_exp, _size
 

@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 import sys
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .lpn import lpn
 from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
@@ -56,7 +56,7 @@ class RaySpec(_record("RaySpec", "direction t_values")):
         return tuple(math.exp(t * s) for s in self.direction)
 
 
-class IntegralEstimate(NamedTuple):
+class IntegralEstimate(_record("IntegralEstimate", "value abs_error truncation_T node_count")):
     """The value of L(a, lambda) and its error figure.
 
     value: always a positive normal double; where L lies below that range
@@ -70,25 +70,18 @@ class IntegralEstimate(NamedTuple):
     node_count: the number of evaluations of the factors g_i.
     """
 
-    value: float
-    abs_error: float
-    truncation_T: float
-    node_count: int
+    __slots__ = ()
 
 
-class RayCheck(NamedTuple):
-    direction: tuple[float, ...]
-    max_ratio: float
-    trend_slope: float
-    bounded: bool
-    ratios: tuple[float, ...] = ()
+class RayCheck(_record("RayCheck", "direction max_ratio trend_slope bounded ratios",
+                       defaults=((),))):
+    __slots__ = ()
 
 
-class Gr2Report(NamedTuple):
-    lam: ExponentVector
-    mu_bound: ExponentVector  # L(p,n)(lambda), a nonpositive vector
-    delta: float
-    rays: list[RayCheck]
+class Gr2Report(_record("Gr2Report", "lam mu_bound delta rays")):
+    """mu_bound is L(p,n)(lambda), a nonpositive vector."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -214,8 +207,12 @@ def _knots(row, end, caps, h0):
     2 / G: so the inner F inside a panel, which the next level reads, stay
     good to the q = 10 collocation order.
     """
-    row = sorted(row)
-    knots = [k for k in sorted({0.0, *row}) if k < end]
+    # a knot whose gap to the last kept knot halves to 0 merges into that
+    # knot: a panel across the gap would be 0 wide (5e-324 next to 0)
+    row, knots = sorted(row), []
+    for k in sorted({0.0, *row}):
+        if k < end and (not knots or (k - knots[-1]) / 2 > 0):
+            knots.append(k)
     table, below, n = [], 0, len(row)  # below: the log a_k < lo
     for lo, hi in zip(knots, knots[1:] + [end]):
         while below < n and row[below] < lo:
@@ -238,7 +235,10 @@ def _lsum(terms):
 def _slope(x, y):
     """The least-squares slope of y on x, in closed form about the means."""
     xm, ym = _lsum(x) / len(x), _lsum(y) / len(y)
-    return _lsum((u - xm) * (v - ym) for u, v in zip(x, y)) / _lsum((u - xm) ** 2 for u in x)
+    # the deviations scaled by 2^-e, exactly, so that their squares stay finite
+    e = max(0, math.frexp(max(abs(u - xm) for u in x))[1] - 500)
+    dx = [math.ldexp(u - xm, -e) for u in x]
+    return math.ldexp(_lsum(d * (v - ym) for d, v in zip(dx, y)) / _lsum(d ** 2 for d in dx), -e)
 
 
 @functools.cache

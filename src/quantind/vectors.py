@@ -18,10 +18,10 @@ import numbers
 import operator
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 
 class DomainError(ValueError):
@@ -67,9 +67,9 @@ def _over(values, D: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, D) for v in values)
 
 
-def _record(name: str, fields: str):
+def _record(name: str, fields: str, defaults=()):
     """A namedtuple base whose `_make` and `_replace` run the subclass's checks."""
-    base = namedtuple(name, fields)
+    base = namedtuple(name, fields, defaults=defaults)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
 
@@ -201,7 +201,7 @@ class Symplectic(_record("Symplectic", "n")):
         return f"Sp({2 * self.n})"
 
 
-GroupDescriptor = Union[Orthogonal, Symplectic]
+GroupDescriptor = Orthogonal | Symplectic
 
 
 def _two_rho(g: GroupDescriptor) -> range:
@@ -263,12 +263,10 @@ def _in_range(
     return all(s < 0 for s in sums) if strict else all(s <= 0 for s in sums)
 
 
-class CoverInfo(NamedTuple):
+class CoverInfo(_record("CoverInfo", "splits genuine_required product_with_center")):
     """Double-cover metadata of one member of an orthogonal-symplectic pair."""
 
-    splits: bool
-    genuine_required: bool
-    product_with_center: bool
+    __slots__ = ()
 
 
 def cover_info(

@@ -493,6 +493,20 @@ CLI_CASES = [
     (["oscillator", "--a", "1", "--alpha", "200", "--beta", "201", "--check-quadrature"],
      2, "", "error: numerical overflow: the quadrature coefficient or a term of it is above "
      "the double range"),
+    # log a = 5e-324 halves its gap to the knot 0 to nothing and merges into
+    # it: L is sqrt(2) - 1, as at a = 1
+    (["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2", "--ray", "5e-324",
+      "--tmax", "2", "--samples", "3", "--delta", "0.05"], 0,
+     "mu = (-1)\n       t              ratio\n   1.000     0.414213562373\n"
+     "   1.500     0.414213562373\n   2.000     0.414213562373\n"
+     "max ratio: 0.414213562373\ntrend slope: 0\nverdict: pass\n", None),
+    # t up to 1e300: the trend is fitted on deviations whose squares would
+    # overflow; log a runs from 1e-300 to 1
+    (["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2", "--ray", "1e-300",
+      "--tmax", "1e300", "--samples", "3", "--delta", "0.05"], 0,
+     "mu = (-1)\n       t              ratio\n   1.000     0.414213562373\n"
+     f"{5e299:.3f}     0.549131785386\n{1e300:.3f}     0.663617304297\n"
+     "max ratio: 0.663617304297\ntrend slope: 4.7132394241e-301\nverdict: pass\n", None),
 ]
 
 

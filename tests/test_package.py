@@ -1,6 +1,10 @@
 """The public namespace of `quantind`, which loads each layer on first use."""
 
+import ast
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +63,32 @@ def test_dir_lists_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quantind.no_such_name
+
+
+PACKAGE = os.path.dirname(os.path.abspath(quantind.__file__))
+MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py"))
+LAYERS = [m for m in MODULES if m != "__init__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_typing(module):
+    # records are `_record` named tuples and unions are PEP 604 ones
+    with open(os.path.join(PACKAGE, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a for a in node.names if a.name.split(".")[0] == "typing"]
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "typing"
+
+
+def test_importing_every_layer_leaves_typing_unloaded():
+    # -S: no `site`, which may preload typing itself
+    script = ("import sys, importlib; [importlib.import_module(f'quantind.{m}') "
+              f"for m in {LAYERS!r}]; print(sorted(m for m in sys.modules "
+              "if m.startswith('quantind')), 'typing' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    layers = sorted(["quantind"] + [f"quantind.{m}" for m in LAYERS])
+    assert proc.stdout == f"{layers} False\n"

@@ -719,6 +719,42 @@ def test_node_log_hypot_is_finite_without_warnings():
         assert all(map(math.isfinite, logs + errors))
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("several", [False, True])
+def test_subnormal_log_a_merges_into_the_knot_at_zero(p, n, several):
+    # log a_k = 5e-324 lies one subnormal above the knot 0: their gap halves
+    # to 0, so the knot merges into 0, and e^{5e-324} is 1.0: each row gives,
+    # bit for bit, what the row with 5e-324 replaced by 0 gives
+    tiny = 5e-324
+    rows = [[tiny] * n]
+    if several:
+        rows += [[1.5, tiny][:n], [tiny, 0.0][:n], [3.0] * n]
+    lam = ev(*[-1, F(-3, 2), -2][:p])
+    got = twisted._log_estimate(rows, lam)
+    zero = twisted._log_estimate([[0.0 if k == tiny else k for k in row] for row in rows], lam)
+    assert [[float(x).hex() for x in out] for out in got] == \
+        [[float(x).hex() for x in out] for out in zero]
+    assert not any(map(math.isnan, got[0] + got[1]))
+
+
+@pytest.mark.parametrize("x", [
+    [1e300, 2e300, 3e300],  # each square past the double range
+    [8.8e154, 1e155, 1.12e155],  # their sum past it: the slope would be 0.0
+])
+def test_slope_past_the_square_root_of_the_double_range(x):
+    # scaled by 2^-e the deviations square inside the double range, and the
+    # scaling is exact: the slope on x 2^-600, where e is 0, times 2^-600 is
+    # the slope on x, bit for bit
+    y = [1.0, 2.5, 3.0]
+    slope = twisted._slope(x, y)
+    assert slope == math.ldexp(twisted._slope([math.ldexp(u, -600) for u in x], y), -600)
+    xm, ym = sum(map(F, x)) / 3, sum(map(F, y)) / 3
+    exact = sum((F(u) - xm) * (F(v) - ym) for u, v in zip(x, y)) / sum(
+        (F(u) - xm) ** 2 for u in x)
+    assert abs(slope - exact) <= 4 * math.ulp(slope)
+
+
 @pytest.mark.parametrize("direction,ts", [
     ([1e300], [1e7, 2e7, 3e7]),
     ([1.0], [1e300, 2e300, 3e300]),

@@ -144,6 +144,54 @@ def test_records_are_named_tuples():
     assert len(d) == 3 and d._replace(parts=(4, 1)) == Partition([4, 1])
     with pytest.raises(DomainError, match="non-increasing"):
         d._replace(parts=(1, 2))
+    # all 15 records: one idiom, a `_record` subclass with no per-instance
+    # dict, with these fields, defaults and reprs
+    from quantind import induction, lpn, twisted
+
+    res = lpn(ExponentVector([-2, -1]), 2, 2)
+    bps = "BreakpointSequence(indices=(1, 2), budgets=(Fraction(2, 1), Fraction(3, 1)))"
+    eta = ("EtaAssignment(mu=(Fraction(2, 1), Fraction(1, 1)), totals=(Fraction(2, 1), "
+           f"Fraction(1, 1)), block_structure={bps}, cases=('ar2', 'ar2'))")
+    records = [
+        (g, "p q", {}, "Orthogonal(p=2, q=3)"),
+        (Symplectic(2), "n", {}, "Symplectic(n=2)"),
+        (d, "parts", {}, "Partition(parts=(3, 2, 2))"),
+        (cover_info((g, Symplectic(2)), "Sp"), "splits genuine_required product_with_center",
+         {}, "CoverInfo(splits=False, genuine_required=True, product_with_center=False)"),
+        (res.witness.block_structure, "indices budgets", {}, bps),
+        (res.witness, "mu totals block_structure cases", {}, eta),
+        (res, "mu output witness", {}, "LpnResult(mu=ExponentVector(['2', '1']), "
+         f"output=ExponentVector(['-2', '-1']), witness={eta})"),
+        (induction.StepRecord("a", "b", "c", "d", True), "id inequality lhs rhs ok", {},
+         "StepRecord(id='a', inequality='b', lhs='c', rhs='d', ok=True)"),
+        (induction.ValidationReport(), "steps bounds", {},
+         "ValidationReport(steps=[], bounds=[])"),
+        (induction.DualPairChain("O", (Orthogonal(1, 2), Symplectic(1)), ExponentVector([-1])),
+         "start_kind groups initial_lambda", {},
+         "DualPairChain(start_kind='O', groups=(Orthogonal(p=1, q=2), Symplectic(n=1)), "
+         "initial_lambda=ExponentVector(['-1']))"),
+        (induction.AVPrediction(Partition([2])), "partition conjectural",
+         {"conjectural": True}, "AVPrediction(partition=Partition(parts=(2,)), conjectural=True)"),
+        (twisted.IntegralEstimate(0.5, 1e-16, 18.0, 240),
+         "value abs_error truncation_T node_count", {},
+         "IntegralEstimate(value=0.5, abs_error=1e-16, truncation_T=18.0, node_count=240)"),
+        (twisted.RaySpec([1.0], [1.0, 2.0, 3.0]), "direction t_values", {},
+         "RaySpec(direction=(1.0,), t_values=(1.0, 2.0, 3.0))"),
+        (twisted.RayCheck((1.0,), 1.0, 0.0, True),
+         "direction max_ratio trend_slope bounded ratios", {"ratios": ()},
+         "RayCheck(direction=(1.0,), max_ratio=1.0, trend_slope=0.0, bounded=True, ratios=())"),
+        (twisted.Gr2Report(ExponentVector([-2]), ExponentVector([-1]), 0.05, []),
+         "lam mu_bound delta rays", {}, "Gr2Report(lam=ExponentVector(['-2']), "
+         "mu_bound=ExponentVector(['-1']), delta=0.05, rays=[])"),
+    ]
+    assert len({type(r) for r, *_ in records}) == 15
+    for r, fields, defaults, text in records:
+        cls = type(r)
+        assert vars(cls)["__slots__"] == () and not hasattr(r, "__dict__")
+        assert cls._fields == tuple(fields.split()) and cls._field_defaults == defaults
+        assert repr(r) == text and r._asdict() == dict(zip(cls._fields, r))
+        assert type(r._replace()) is cls and r._replace() == r
+        assert type(cls._make(r)) is cls and cls._make(r) == r
 
 
 def test_constant_vector():
