@@ -259,7 +259,8 @@ def _cmd_verify_integral(args) -> int:
         print(f"mu = {_fmt_vec(report.mu_bound)}")
         print(f"{'t':>8s} {'ratio':>18s}")
         for t, r in zip(ts, check.ratios):
-            print(f"{t:8.3f} {_fmt_float(r):>18s}")
+            spec = "8.3f" if t < 1e8 else "8.3e"  # a bounded width for any t
+            print(f"{t:{spec}} {_fmt_float(r):>18s}")
         print(f"max ratio: {_fmt_float(check.max_ratio)}")
         print(f"trend slope: {_fmt_float(check.trend_slope)}")
         print(f"verdict: {'pass' if report.ok else 'fail'}")

@@ -31,6 +31,7 @@ from .lpn import lpn
 from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
 
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
+_LIFT = 4.0  # the lift knot's offset past the last knot (`_knots`)
 _DIVERGES = "integral diverges: lambda - (n-1)*1 is not < 0"
 
 
@@ -145,9 +146,11 @@ def _log_estimate(log_a, lam: ExponentVector):
     rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
     slope, eps = min(map(abs, margins)), sys.float_info.epsilon
     h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))  # see `_knots`
-    # caps[c]: 2 / G above a knot with c of the log a_k at or past it (`_knots`)
+    # caps[c]: 2 / G above a knot with c of the log a_k at or past it, and
+    # caps[n + 1]: 2 / G_w past the lift knot max log a_k + _LIFT (`_knots`)
     caps = [2.0 / G if G else math.inf
-            for G in [_lsum([r + c for r in rates[1:] if r + c > 0]) for c in range(n + 1)]]
+            for G in [_lsum([r + c for r in rates[1:] if r + c > 0])
+                      for c in [*range(n + 1), n / (1.0 + math.exp(2 * _LIFT))]]]
     Ts = []  # the tail outside [0, T]^p is at most eps L: see `evaluate`
     for row in log_a:
         # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
@@ -206,6 +209,17 @@ def _knots(row, end, caps, h0):
     #{k : log a_k < lo})_+, and caps[c], c the log a_k at or past lo, is
     2 / G: so the inner F inside a panel, which the next level reads, stay
     good to the q = 10 collocation order.
+
+    In the last gap G still counts the log a_k at its knot as not passed.
+    Past max log a_k + w every a_k^2 / (a_k^2 + e^{2s}) is at most
+    1 / (1 + e^{2w}), so each log g_i has slope at most lambda_i + 1 - n +
+    n / (1 + e^{2w}): where the last gap's cap is finite, the lift knot
+    max log a_k + w (below end) splits that gap if that takes fewer panels,
+    and caps[n + 1] = 2 / G_w, G_w = sum_{i >= 2} (lambda_i + 1 - n +
+    n / (1 + e^{2w}))_+, caps the gap beyond.  w = _LIFT = 4 puts
+    n / (1 + e^{2w}) below 3.4e-4 n, so G_w is 0 unless an inner rate lies
+    that near 0, and a near-divergent lambda, whose p T grows like
+    1 / margin, takes O(log end) panels, not O(end).
     """
     # a knot whose gap to the last kept knot halves to 0 merges into that
     # knot: a panel across the gap would be 0 wide (5e-324 next to 0)
@@ -224,7 +238,23 @@ def _knots(row, end, caps, h0):
         table.append((lo, 1.0, cap, j, k))
         if not last:
             table.append((hi, -1.0, cap, j, k))
+    # the last gap, split at the lift knot where that takes fewer panels
+    # (1 + j + k a side: three sides against one)
+    lo, _, cap, j, k = table[-1]
+    lift = row[-1] + _LIFT
+    if cap < math.inf and lift < end:
+        below, beyond = _side((lift - lo) / 2, cap, h0), _side(end - lift, caps[n + 1], h0)
+        if 2 + 2 * sum(below) + sum(beyond) < j + k:
+            table[-1:] = [(lo, 1.0, cap, *below), (lift, -1.0, cap, *below),
+                          (lift, 1.0, caps[n + 1], *beyond)]
     return table
+
+
+def _side(reach, cap, h0):
+    """j and k of a side of `_knots` that reaches `reach` from its knot, as
+    its gap loop forms them inline (a call per gap there would cost a few
+    percent of `_log_estimate`'s set-up)."""
+    return max(0, math.ceil(math.log2(min(reach, cap) / h0))), max(0, math.ceil(reach / cap) - 1)
 
 
 def _lsum(terms):
@@ -241,21 +271,52 @@ def _slope(x, y):
     return math.ldexp(_lsum(d * (v - ym) for d, v in zip(dx, y)) / _lsum(d ** 2 for d in dx), -e)
 
 
+def _legval(x, c):
+    """sum_n c[n] P_n(x) by Clenshaw's recurrence, in numpy's `legval` order."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.cache
 def _panel_rule():
     """The q = 10 and q = 20 Gauss-Legendre rules on [-1, 1] side by side:
     30 nodes as 1 + x, a weight matrix W with one column per rule, [C^T W] with
     the block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
-    basis l_k, and the rule r (column of W) of each node twice, as r and 2 + r."""
+    basis l_k, and the rule r (column of W) of each node twice, as r and 2 + r.
+
+    Built bit for bit as `numpy.polynomial.legendre` builds them, without
+    loading it: the nodes are the eigenvalues of the symmetric companion
+    matrix of P_q (Golub-Welsch, Math. Comp. 1969) after one Newton step, the
+    weights 1 / (P_q' P_{q-1}) at the nodes, each factor over its largest,
+    symmetrised and scaled to sum 2; C as `legvander`, `legint` and `legval`.
+    """
     import numpy as np
-    from numpy.polynomial import legendre as leg
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
     for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
-        x[block], W[block, rule] = leg.leggauss(q)
+        scl = 1.0 / np.sqrt(2 * np.arange(q) + 1)
+        off = np.arange(1, q) * scl[:-1] * scl[1:]
+        r = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        P = [0.0] * q + [1.0]  # P_q, and P_q' = sum (2k + 1) P_k over k = q - 1, q - 3, ...
+        df = _legval(r, [float(2 * k + 1) if (q - k) % 2 else 0.0 for k in range(q)])
+        r -= _legval(r, P) / df
+        fm = _legval(r, P[1:])
+        w = 1 / (fm / abs(fm).max() * (df / abs(df).max()))
+        w = (w + w[::-1]) / 2
+        x[block], W[block, rule] = (r - r[::-1]) / 2, w * (2.0 / w.sum())
         # l_k in Legendre form: its coefficient of P_n is w_k (n + 1/2) P_n(x_k)
-        coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
-        coef *= W[block, rule]
-        C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
+        V = [np.ones(q), x[block]]
+        for i in range(2, q):
+            V.append((V[-1] * x[block] * (2 * i - 1) - V[-2] * (i - 1)) / i)
+        coef = np.array(V) * [[n + 0.5] for n in range(q)] * W[block, rule]
+        I = np.zeros((q + 1, q))  # int_{-1} l_k, as int P_n = (P_{n+1} - P_{n-1}) / (2n + 1)
+        I[1], I[2] = coef[0], coef[1] / 3
+        for n in range(2, q):
+            I[n + 1] = coef[n] / (2 * n + 1)
+            I[n - 1] -= I[n + 1]
+        I[0] -= _legval(-1.0, I)
+        C[block, block] = _legval(x[block], I[:, :, None]).T
     return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
 
 

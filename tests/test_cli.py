@@ -501,11 +501,11 @@ CLI_CASES = [
      "   1.500     0.414213562373\n   2.000     0.414213562373\n"
      "max ratio: 0.414213562373\ntrend slope: 0\nverdict: pass\n", None),
     # t up to 1e300: the trend is fitted on deviations whose squares would
-    # overflow; log a runs from 1e-300 to 1
+    # overflow; log a runs from 1e-300 to 1; t from 1e8 on prints as {t:8.3e}
     (["verify-integral", "--p", "1", "--n", "1", "--lambda", "-2", "--ray", "1e-300",
       "--tmax", "1e300", "--samples", "3", "--delta", "0.05"], 0,
      "mu = (-1)\n       t              ratio\n   1.000     0.414213562373\n"
-     f"{5e299:.3f}     0.549131785386\n{1e300:.3f}     0.663617304297\n"
+     "5.000e+299     0.549131785386\n1.000e+300     0.663617304297\n"
      "max ratio: 0.663617304297\ntrend slope: 4.7132394241e-301\nverdict: pass\n", None),
 ]
 
@@ -545,7 +545,8 @@ import quantind.cli
 def loaded():
     return {"layers": sorted(m.split(".")[1] for m in sys.modules
                              if m.startswith("quantind.") and m != "quantind.cli"),
-            "numerics": sorted(m for m in ("numpy", "scipy") if m in sys.modules),
+            "numerics": sorted(m for m in ("numpy", "numpy.polynomial", "scipy")
+                               if m in sys.modules),
             "dataclasses": "dataclasses" in sys.modules}
 
 argv = json.loads(sys.argv[1])
@@ -588,7 +589,8 @@ def hygiene_runs(chain):
 def test_exact_paths_load_no_numpy_or_scipy(tmp_path, chain_file):
     # each subcommand in a fresh interpreter (this one has numpy and scipy
     # loaded already): it loads only its own layers, and only
-    # verify-integral loads twisted and numpy; no step loads dataclasses
+    # verify-integral loads twisted and numpy; no step loads dataclasses or
+    # numpy.polynomial
     import quantind
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(quantind.__file__)))

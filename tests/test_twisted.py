@@ -493,12 +493,19 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
     # at least the panels built, so MAX_PANELS never undercounts; the first
     # panel from a graded knot is min(h0, cap) wide where its side reaches
     # that far; and no panel is wider than its gap's cap 2 / G, but for the
-    # one across the middle of a gap between two knots: at most twice that
-    tables, grids, seen = [], [], dict.fromkeys(("rows", "cap", "past", "near", "mid"), 0)
-    knots, limit = twisted._knots, twisted.MAX_PANELS
+    # one across the middle of a gap between two knots: at most twice that.
+    # Where the last gap's cap is finite and that saves panels, the lift
+    # knot max log a_k + w below p T starts a last gap capped by 2 / G_w,
+    # with every c taken as n / (1 + e^{2w})
+    tables, grids = [], []
+    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift"), 0)
+    knots, limit, lift = twisted._knots, twisted.MAX_PANELS, twisted._LIFT
 
-    def table(row, end, caps, h0):
-        tables.append((row, end, h0, knots(row, end, caps, h0)))
+    def table(row, end, caps, h0):  # and the table without the lift knot
+        monkeypatch.setattr(twisted, "_LIFT", math.inf)
+        plain = knots(row, end, caps, h0)
+        monkeypatch.setattr(twisted, "_LIFT", lift)
+        tables.append((row, end, h0, plain, knots(row, end, caps, h0)))
         return tables[-1][-1]
 
     def recursion(log_a, rates, edges, counts):  # the grid only
@@ -530,9 +537,18 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
         except DomainError as exc:
             assert "panels" in str(exc)
             continue
-        for (row, end, h0, entries), (edges, count) in zip(tables, grids):
+        for (row, end, h0, plain, entries), (edges, count) in zip(tables, grids):
             edges = edges[:count + 1]
-            ends = sorted(k for k in {0.0, *row} if k < end) + [end]
+            ends = sorted(k for k in {0.0, *row} if k < end)
+            cs = [n - sum(k < lo for k in row) for lo in ends]  # c of each gap's cap
+            if entries != plain:  # the lift knot, only where it saves panels
+                assert any(float(r) + cs[-1] > 0 for r in rates[1:])
+                assert sum(1 + j + k for *_, j, k in entries) < \
+                    sum(1 + j + k for *_, j, k in plain)
+                ends.append(max(row) + lift)
+                cs.append(n / (1.0 + math.exp(2 * lift)))
+                seen["lift"] += 1
+            ends.append(end)
             assert edges[0] == 0.0 and edges[-1] == end
             assert all(u < v for u, v in zip(edges, edges[1:]))
             assert set(ends) <= set(edges)
@@ -541,10 +557,10 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
             seen["rows"] += 1
             seen["past"] += max(row) >= end
             seen["near"] += near
-            for lo, hi in zip(ends, ends[1:]):
+            for lo, hi, c in zip(ends, ends[1:], cs):
                 G = 0.0
                 for r in rates[1:]:
-                    G += max(float(r) + (n - sum(k < lo for k in row)), 0.0)
+                    G += max(float(r) + c, 0.0)
                 cap, last = 2.0 / G if G else math.inf, hi == end
                 assert sides[lo, 1.0] == cap and (last or sides[hi, -1.0] == cap)
                 seen["cap"] += cap < math.inf
@@ -610,7 +626,7 @@ PINNED_LOG_ESTIMATES = [
     ([[_L(3.0), _L(2.0), _L(1.5)]], ["-2", "-2", "-3"],
      ["-0x1.7878895e6080fp+3"], ["0x1.6639ec451c434p+3"], [1440]),
     ([[1.0, 1.0]], ["-1", "-1/2", "-1/2"],
-     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [3240]),
+     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [1260]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3", "-3"],
      ["-0x1.b1c19abd6a8fcp+3"], ["0x1.5ef10c620d288p+3"], [1440]),
     ([[2.0, 2.0, 0.0]], ["0", "0", "-1", "-1"],
@@ -621,7 +637,7 @@ PINNED_LOG_ESTIMATES = [
      ["-0x1.0c53b5676416ap+4"], ["0x1.a07a40f9f8012p+3"], [1650]),
     # non-dyadic and large-denominator lambda
     ([[2.0]], ["-1/3", "-2/7"],
-     ["0x1.8bbac8d12d2e0p-1"], ["0x1.d0043a622682ep+6"], [5160]),
+     ["0x1.8bbac8d12d2e0p-1"], ["0x1.d0043a622682ep+6"], [780]),
     ([[_L(3.0)]], ["-1/1000000", "-5/3"],
      ["0x1.94382ece5c588p+3"], ["0x1.29d8ccd4d2688p+25"], [1740]),
     ([[1.5, 0.25]], ["5/7", "-13/11"],
@@ -688,6 +704,50 @@ def test_near_divergent_lambda_evaluates(a, k):
     assert abs(est.value - ref) <= 2e-13 * ref
 
 
+# L at a = (a, ..., a) and near-divergent lambda - (n - 1) = (-10^-k, -1/2)
+# (p = 2) and (-10^-k, -1/4, -1/2) (p = 3), k = 1..6, as float.hex, keyed by
+# (p, n, a).  By mpmath at 50 digits, in s = log b: the inner F_2 by Gauss
+# collocation of order 40 on panels 0.5 wide up to s = 400, with the knot
+# log a as an edge; the outer level split as L = F_2(inf) (1 / 10^-k +
+# int e^{r_1 s} (h - 1)) - int g_1 (F_2(inf) - F_2), h = (1 + a^2 e^{-2s})^{-n/2},
+# so no integrand decays like e^{-10^-k s}.  The same scheme gives L_1^p / p!
+# at equal lambda to 1e-47, and five rows agree to 1e-34 at 60 digits, order
+# 50 and panels 0.4 wide up to 500
+NEAR_DIVERGENT = {
+    (2, 1, 1): ["0x1.e6ab46334d221p+3", "0x1.6af796cfee78fp+7", "0x1.ce851e3e88049p+10",
+                "0x1.21a2fab8d977cp+14", "0x1.6a1dbb87b894dp+17", "0x1.c4a76acb128f0p+20"],
+    (2, 1, 20): ["0x1.3be1b15ee759ep+2", "0x1.180df865a65d7p+6", "0x1.6b1c2d16660a2p+9",
+                 "0x1.c78f1d8893783p+12", "0x1.1cd442081e974p+16", "0x1.640cacb3cfc1fp+19"],
+    (2, 2, 1): ["0x1.c0e741a828281p+3", "0x1.52fb0509ab24ep+7", "0x1.b07e1f5dc6c6bp+10",
+                "0x1.0edde8a696f70p+14", "0x1.52a74e9de7c21p+17", "0x1.a7535fdc802f7p+20"],
+    (2, 2, 20): ["0x1.8e2b5f9bd898dp+1", "0x1.7976b8a17b8dbp+5", "0x1.ecae7e35604a9p+8",
+                 "0x1.354419cfbec46p+12", "0x1.82c0206f1c57bp+15", "0x1.e37588f31c749p+18"],
+    (3, 1, 1): ["0x1.d7fcb712d807fp+4", "0x1.c27dd2c603258p+8", "0x1.27913f5870b7ap+12",
+                "0x1.73494c6397f0dp+15", "0x1.d05657cfeb199p+18", "0x1.2239a2cf116d9p+22"],
+    (3, 1, 20): ["0x1.7c69adedbff33p+2", "0x1.afb0442b51209p+6", "0x1.202b26cb9767ep+10",
+                 "0x1.6a9e3f6ae1c14p+13", "0x1.c59338dd19359p+16", "0x1.1b80dabd78ef8p+20"],
+    (3, 2, 1): ["0x1.a4ba84cc31e17p+4", "0x1.9695a10e8e2a8p+8", "0x1.0b174b0bf3fc1p+12",
+                "0x1.4f8e70de467e7p+15", "0x1.a3a873c80ef1cp+18", "0x1.064caf2912e51p+22"],
+    (3, 2, 20): ["0x1.8d4b424344ddfp+1", "0x1.e20a804b3829bp+5", "0x1.43f1cd02130dbp+9",
+                 "0x1.97e90d0b154d2p+12", "0x1.fe4326d37d909p+15", "0x1.3eeff67549e98p+19"],
+}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("p,n,a", NEAR_DIVERGENT)
+def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
+    # p T grows like 10^k, yet past the lift knot log a + 4 the cap 2 / G_w
+    # is infinite: a few thousand nodes, where the cap 2 / G over the whole
+    # last gap took 1.2 million at k = 3 and was refused from k = 4 on
+    inner = [F(-1, 2)] if p == 2 else [F(-1, 4), F(-1, 2)]
+    lam = ev(*[x + n - 1 for x in [F(-1, 10**k)] + inner])
+    ref = float.fromhex(NEAR_DIVERGENT[p, n, a][k - 1])
+    est = evaluate([float(a)] * n, lam)
+    err = abs(est.value - ref)
+    assert err <= 1e-13 * ref and err <= est.abs_error
+    assert est.node_count < 5000
+
+
 @pytest.mark.parametrize("rows,lam", [
     ([[0.0]], [F(-1, 10**320)]),  # T = inf
     ([[0.0]], [F(-1, 10**400)]),  # the margin floats to 0
@@ -717,6 +777,25 @@ def test_node_log_hypot_is_finite_without_warnings():
         # differences of log F past the exp range
         logs, errors, _, _ = twisted._log_estimate(rows, lam)
         assert all(map(math.isfinite, logs + errors))
+
+
+def test_panel_rule_is_numpys_legendre_rule_bit_for_bit():
+    # numpy's rule stays the reference here; the library no longer loads it.
+    # Every array equals, sign bits included, the one built from leggauss,
+    # legvander, legint and legval
+    from numpy.polynomial import legendre as leg
+
+    x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
+    for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
+        x[block], W[block, rule] = leg.leggauss(q)
+        coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
+        coef *= W[block, rule]
+        C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
+    ref = 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
+    got = twisted._panel_rule()
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
