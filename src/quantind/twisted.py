@@ -232,9 +232,8 @@ def _knots(row, end, caps, h0):
         while below < n and row[below] < lo:
             below += 1
         last = hi == end  # the knots lie below end
-        L, cap = (hi - lo) / (1 if last else 2), caps[n - below]
-        j = max(0, math.ceil(math.log2(min(L, cap) / h0)))
-        k = max(0, math.ceil(L / cap) - 1)
+        cap = caps[n - below]
+        j, k = _side((hi - lo) / (1 if last else 2), cap, h0)
         table.append((lo, 1.0, cap, j, k))
         if not last:
             table.append((hi, -1.0, cap, j, k))
@@ -243,17 +242,15 @@ def _knots(row, end, caps, h0):
     lo, _, cap, j, k = table[-1]
     lift = row[-1] + _LIFT
     if cap < math.inf and lift < end:
-        below, beyond = _side((lift - lo) / 2, cap, h0), _side(end - lift, caps[n + 1], h0)
-        if 2 + 2 * sum(below) + sum(beyond) < j + k:
-            table[-1:] = [(lo, 1.0, cap, *below), (lift, -1.0, cap, *below),
-                          (lift, 1.0, caps[n + 1], *beyond)]
+        near, far = _side((lift - lo) / 2, cap, h0), _side(end - lift, caps[n + 1], h0)
+        if 2 + 2 * sum(near) + sum(far) < j + k:
+            table[-1:] = [(lo, 1.0, cap, *near), (lift, -1.0, cap, *near),
+                          (lift, 1.0, caps[n + 1], *far)]
     return table
 
 
 def _side(reach, cap, h0):
-    """j and k of a side of `_knots` that reaches `reach` from its knot, as
-    its gap loop forms them inline (a call per gap there would cost a few
-    percent of `_log_estimate`'s set-up)."""
+    """j and k of a side of `_knots` that reaches `reach` from its knot."""
     return max(0, math.ceil(math.log2(min(reach, cap) / h0))), max(0, math.ceil(reach / cap) - 1)
 
 
@@ -272,7 +269,8 @@ def _slope(x, y):
 
 
 def _legval(x, c):
-    """sum_n c[n] P_n(x) by Clenshaw's recurrence, in numpy's `legval` order."""
+    """sum_n c[n] P_n(x) by Clenshaw's recurrence, in numpy 2.4's `legval`
+    order: each step multiplies by the ratio (nd - 1) / nd."""
     c0, c1 = c[-2], c[-1]
     for nd in range(len(c) - 1, 1, -1):
         c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
@@ -286,11 +284,14 @@ def _panel_rule():
     the block-diagonal C[j, k] = int_{-1}^{x_j} l_k of each rule's Lagrange
     basis l_k, and the rule r (column of W) of each node twice, as r and 2 + r.
 
-    Built bit for bit as `numpy.polynomial.legendre` builds them, without
-    loading it: the nodes are the eigenvalues of the symmetric companion
-    matrix of P_q (Golub-Welsch, Math. Comp. 1969) after one Newton step, the
-    weights 1 / (P_q' P_{q-1}) at the nodes, each factor over its largest,
+    Built as `numpy.polynomial.legendre` builds them, without loading it:
+    the nodes are the eigenvalues of the symmetric companion matrix of P_q
+    (Golub-Welsch, Math. Comp. 1969) after one Newton step, the weights
+    1 / (P_q' P_{q-1}) at the nodes, each factor over its largest,
     symmetrised and scaled to sum 2; C as `legvander`, `legint` and `legval`.
+    With numpy 2.4 the arrays are numpy's bit for bit.  numpy 1.x's `legval`
+    rounds (c1 (nd - 1)) / nd instead, and its rule lies within 3e-15 of
+    this one, which does not depend on numpy's `legval`.
     """
     import numpy as np
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
