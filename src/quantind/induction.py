@@ -32,10 +32,14 @@ from .vectors import (
 
 
 class StepRecord(_record("StepRecord", "id inequality lhs rhs ok")):
+    """One checked step: its id, the inequality, both sides as text and ok."""
+
     __slots__ = ()
 
 
 class ValidationReport(_record("ValidationReport", "steps bounds")):
+    """The StepRecords of a validation and the exponent bounds it propagated."""
+
     __slots__ = ()
 
     def __new__(cls, steps: list[StepRecord] | None = None, bounds: list | None = None):
@@ -399,6 +403,8 @@ def parabolic_infchar_match(kind: str, sizes: Sequence[int], chi: InfChar) -> bo
 
 
 class AVPrediction(_record("AVPrediction", "partition conjectural", defaults=(True,))):
+    """The predicted partition, and conjectural: True, as it rests on a conjecture."""
+
     __slots__ = ()
 
 

@@ -67,6 +67,8 @@ class EtaAssignment(_record("EtaAssignment", "mu totals block_structure cases"))
 
 
 class LpnResult(_record("LpnResult", "mu output witness")):
+    """mu, the output L(p,n)(lambda) = -mu and the EtaAssignment witness."""
+
     __slots__ = ()
 
 

@@ -76,6 +76,8 @@ class IntegralEstimate(_record("IntegralEstimate", "value abs_error truncation_T
 
 class RayCheck(_record("RayCheck", "direction max_ratio trend_slope bounded ratios",
                        defaults=((),))):
+    """One ray of check_gr2: direction, max_ratio, trend_slope, bounded, ratios."""
+
     __slots__ = ()
 
 
@@ -219,13 +221,14 @@ def _knots(row, end, caps, h0):
     n / (1 + e^{2w}))_+, caps the gap beyond.  w = _LIFT = 4 puts
     n / (1 + e^{2w}) below 3.4e-4 n, so G_w is 0 unless an inner rate lies
     that near 0, and a near-divergent lambda, whose p T grows like
-    1 / margin, takes O(log end) panels, not O(end).
+    1 / margin, takes O(log end) panels, not O(end).  A knot less than
+    sys.float_info.min above the last kept knot merges into it, so no gap
+    halves to 0 (5e-324 next to 0); log g_i moves by at most 1 across h0, so
+    the dropped sliver panel, gap wide, would hold less than about e gap / h0 of L.
     """
-    # a knot whose gap to the last kept knot halves to 0 merges into that
-    # knot: a panel across the gap would be 0 wide (5e-324 next to 0)
     row, knots = sorted(row), []
     for k in sorted({0.0, *row}):
-        if k < end and (not knots or (k - knots[-1]) / 2 > 0):
+        if k < end and (not knots or k - knots[-1] >= sys.float_info.min):
             knots.append(k)
     table, below, n = [], 0, len(row)  # below: the log a_k < lo
     for lo, hi in zip(knots, knots[1:] + [end]):
@@ -289,16 +292,24 @@ def _panel_rule():
     (Golub-Welsch, Math. Comp. 1969) after one Newton step, the weights
     1 / (P_q' P_{q-1}) at the nodes, each factor over its largest,
     symmetrised and scaled to sum 2; C as `legvander`, `legint` and `legval`.
-    With numpy 2.4 the arrays are numpy's bit for bit.  numpy 1.x's `legval`
-    rounds (c1 (nd - 1)) / nd instead, and its rule lies within 3e-15 of
-    this one, which does not depend on numpy's `legval`.
+    `eig` pins the eigenvalues `eigvalsh` gives with numpy 2.4 on OpenBLAS,
+    so the rule is the same on every LAPACK.  With numpy 2.4 the arrays are
+    numpy's bit for bit.  numpy 1.x's `legval` rounds (c1 (nd - 1)) / nd
+    instead; its rule lies within 3e-15 of this one, which does not call it.
     """
     import numpy as np
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
+    eig = np.array([float.fromhex(h) for h in """
+        -0x1.f2a3e062af2d9p-1 -0x1.bae995e9cb2f1p-1 -0x1.5bdb9228de198p-1 -0x1.bbcc009016adap-2
+        -0x1.30e507891e27cp-3 0x1.30e507891e28cp-3 0x1.bbcc009016ad5p-2 0x1.5bdb9228de198p-1
+        0x1.bae995e9cb2f3p-1 0x1.f2a3e062af2d8p-1 -0x1.fc7b5a0c71ce1p-1 -0x1.ed8dba7bd76a1p-1
+        -0x1.d31064173fd92p-1 -0x1.ada0bd5efd6eap-1 -0x1.7e1f37346a54fp-1 -0x1.45a8d3fa710dbp-1
+        -0x1.05905c13f7ff7p-1 -0x1.7eaccf15652c0p-2 -0x1.d281636928bbep-3 -0x1.3973df98b86b2p-4
+        0x1.3973df98b86b2p-4 0x1.d281636928bb1p-3 0x1.7eaccf15652c5p-2 0x1.05905c13f7ff7p-1
+        0x1.45a8d3fa710dep-1 0x1.7e1f37346a54ep-1 0x1.ada0bd5efd6ecp-1 0x1.d31064173fd92p-1
+        0x1.ed8dba7bd769ep-1 0x1.fc7b5a0c71ce1p-1""".split()])
     for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
-        scl = 1.0 / np.sqrt(2 * np.arange(q) + 1)
-        off = np.arange(1, q) * scl[:-1] * scl[1:]
-        r = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        r = eig[block]
         P = [0.0] * q + [1.0]  # P_q, and P_q' = sum (2k + 1) P_k over k = q - 1, q - 3, ...
         df = _legval(r, [float(2 * k + 1) if (q - k) % 2 else 0.0 for k in range(q)])
         r -= _legval(r, P) / df
@@ -412,10 +423,12 @@ def fit_decay(ray: RaySpec, lam: ExponentVector) -> float:
     The sequence of local slopes is accelerated with one Aitken
     delta-squared step, which removes the leading geometric finite-window
     correction; with fewer than four samples, or if the acceleration is
-    ill-conditioned, the raw tail slope is returned.  It works on log L, so
-    L may lie below the double range; a divergent lambda raises DomainError.
+    ill-conditioned, the raw tail slope is returned.  Only the last four
+    points, which that step reads, are evaluated and count against
+    MAX_PANELS.  It works on log L, so L may lie below the double range; a
+    divergent lambda raises DomainError.
     """
-    ts, logs = _ray_logs(ray, lam)
+    ts, logs = _ray_logs(RaySpec(ray.direction, ray.t_values[-4:]), lam)
     slopes = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in zip(ts, ts[1:], logs, logs[1:])]
     if len(slopes) < 3:
         return slopes[-1]

@@ -60,6 +60,12 @@ def test_dir_lists_every_name():
     assert set(PUBLIC) <= set(dir(quantind))
 
 
+def test_every_public_class_has_a_docstring():
+    classes = [name for name in PUBLIC if isinstance(getattr(quantind, name), type)]
+    assert len(classes) == 18
+    assert [name for name in classes if not getattr(quantind, name).__doc__] == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         quantind.no_such_name

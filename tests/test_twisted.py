@@ -460,7 +460,8 @@ def test_grid_limit_counts_the_whole_ray(monkeypatch):
 def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
     # every point needs a panel at least, so such a ray is refused before
     # log f(t0) or a grid is worked out for any of its points: the row
-    # loops run in `math`, which here fails on any use
+    # loops run in `math`, which here fails on any use.  `check_gr2`
+    # evaluates every point (`fit_decay` only the last four)
     def unreachable(*args):
         raise AssertionError("the rows were set up")
 
@@ -473,7 +474,7 @@ def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
     monkeypatch.setattr(twisted, "_iterated", unreachable)
     monkeypatch.setattr(twisted, "math", NoMath())
     with pytest.raises(DomainError, match="5 points need more than 4 panels"):
-        fit_decay(ray, lam)
+        check_gr2(lam, 1, 1, [ray])
 
 
 def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
@@ -481,10 +482,62 @@ def test_more_points_than_panels_are_refused_before_log_a(monkeypatch):
     monkeypatch.setattr(twisted, "MAX_PANELS", 4)
     ray = RaySpec([1e300], [1e10 * k for k in range(1, 6)])
     with pytest.raises(DomainError, match="5 points need more than 4 panels"):
-        fit_decay(ray, ev("-1/2"))
+        check_gr2(ev("-1/2"), 1, 1, [ray])
     monkeypatch.setattr(twisted, "MAX_PANELS", 5)
     with pytest.raises(DomainError, match="t \\* s overflows"):
-        fit_decay(ray, ev("-1/2"))
+        check_gr2(ev("-1/2"), 1, 1, [ray])
+
+
+def _aitken(ts, logs):
+    # fit_decay's estimate from the last four of the given points
+    s0, s1, s2 = [(y1 - y0) / (t1 - t0) for t0, t1, y0, y1 in
+                  zip(ts[-4:], ts[-3:], logs[-4:], logs[-3:])]
+    denom = (s2 - s1) - (s1 - s0)
+    return s2 if denom == 0.0 else s2 - (s2 - s1) ** 2 / denom
+
+
+def test_fit_decay_evaluates_only_the_last_four_points(monkeypatch):
+    # the Aitken step reads the last four log L, and only their rows reach
+    # `_log_estimate`; each row equals its value in the whole ray's pass, so
+    # the slope is bit for bit the step on the whole ray's logs
+    rng, log_estimate, seen = random.Random(29), twisted._log_estimate, []
+
+    def spy(log_a, lam):
+        seen.append(len(log_a))
+        return log_estimate(log_a, lam)
+
+    for _ in range(40):
+        p, n = rng.randint(1, 4), rng.randint(1, 3)
+        lam = ev(*[n - 1 - F(rng.randint(2, 6), 2) for _ in range(p)])
+        direction = sorted(
+            (rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 2.0))) for _ in range(n)),
+            reverse=True,
+        )
+        direction[0] = max(direction[0], 0.25)
+        t_max = rng.choice((5.0, 50.0, 700.0)) / direction[0]
+        ts = sorted(rng.sample(range(1, 1000), rng.randint(4, 11)))
+        ray = RaySpec(direction, [t_max * t / 999 for t in ts])
+        whole = _aitken(*twisted._ray_logs(ray, lam))
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(twisted, "_log_estimate", spy)
+            assert fit_decay(ray, lam).hex() == whole.hex()
+        assert seen == [4]
+
+
+def test_fit_decay_counts_only_its_tail_against_max_panels(monkeypatch):
+    # a ray with more points than MAX_PANELS: its tail of four fits, and
+    # fit_decay returns the tail's slope; check_gr2, which evaluates every
+    # point, refuses the ray
+    lam, tail = ev(-2), [3.0, 4.0, 5.0, 6.0]
+    monkeypatch.setattr(twisted, "MAX_PANELS", 4)
+    need = int(_panels_needed(lambda: fit_decay(RaySpec([1.0], tail), lam)))
+    ray = RaySpec([1.0], [k / 100 for k in range(1, need - 2)] + tail)
+    monkeypatch.setattr(twisted, "MAX_PANELS", need)
+    assert len(ray.t_values) == need + 1
+    assert fit_decay(ray, lam) == _aitken(*twisted._ray_logs(RaySpec([1.0], tail), lam))
+    with pytest.raises(DomainError, match=f"{need + 1} points need more than {need} panels"):
+        check_gr2(lam, 1, 1, [ray])
 
 
 def test_grid_rules_hold_on_every_row(monkeypatch):
@@ -842,19 +895,30 @@ def test_panel_rule_lies_within_1e_13_of_numpys_in_either_order(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("several", [False, True])
 def test_subnormal_log_a_merges_into_the_knot_at_zero(p, n, several):
-    # log a_k = 5e-324 lies one subnormal above the knot 0: their gap halves
-    # to 0, so the knot merges into 0, and e^{5e-324} is 1.0: each row gives,
-    # bit for bit, what the row with 5e-324 replaced by 0 gives
-    tiny = 5e-324
-    rows = [[tiny] * n]
-    if several:
-        rows += [[1.5, tiny][:n], [tiny, 0.0][:n], [3.0] * n]
+    # a log a_k below the least normal double lies less than that above the
+    # knot 0, so it merges into 0 (at 5e-324 their gap would halve to 0),
+    # and e^{log a_k} is 1.0: each row gives, bit for bit, node count
+    # included, what the row with log a_k replaced by 0 gives
     lam = ev(*[-1, F(-3, 2), -2][:p])
-    got = twisted._log_estimate(rows, lam)
-    zero = twisted._log_estimate([[0.0 if k == tiny else k for k in row] for row in rows], lam)
-    assert [[float(x).hex() for x in out] for out in got] == \
-        [[float(x).hex() for x in out] for out in zero]
-    assert not any(map(math.isnan, got[0] + got[1]))
+    for tiny in [5e-324, 1e-323, 2e-323, 1e-320, 1e-310, 2e-308]:
+        rows = [[tiny] * n]
+        if several:
+            rows += [[1.5, tiny][:n], [tiny, 0.0][:n], [3.0] * n]
+        got = twisted._log_estimate(rows, lam)
+        zero = twisted._log_estimate([[0.0 if k == tiny else k for k in row] for row in rows],
+                                     lam)
+        assert [[float(x).hex() for x in out] for out in got] == \
+            [[float(x).hex() for x in out] for out in zero]
+        assert not any(map(math.isnan, got[0] + got[1]))
+
+
+@pytest.mark.parametrize("knot", [sys.float_info.min, 3e-300])
+def test_a_log_a_at_a_normal_double_stays_a_knot(knot):
+    # a normal double stays a knot of its own: the grid grades toward it as
+    # well as toward 0, on more nodes
+    lam = ev(-2)
+    got, zero = twisted._log_estimate([[knot]], lam), twisted._log_estimate([[0.0]], lam)
+    assert got[3][0] > zero[3][0] and not any(map(math.isnan, got[0] + got[1]))
 
 
 @pytest.mark.parametrize("x", [
