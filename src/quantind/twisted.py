@@ -54,7 +54,9 @@ class RaySpec(_record("RaySpec", "direction t_values")):
         return tuple.__new__(cls, (d, t))
 
     def point(self, t: float) -> tuple[float, ...]:
-        return tuple(math.exp(t * s) for s in self.direction)
+        if not 0.0 <= t < math.inf:
+            raise DomainError("t must be finite and nonnegative")
+        return tuple(_normal_exp(t * s, "a(t)") for s in self.direction)
 
 
 class IntegralEstimate(_record("IntegralEstimate", "value abs_error truncation_T node_count")):
@@ -174,16 +176,16 @@ def _log_estimate(log_a, lam: ExponentVector):
                               f"small for panels {h0:.3g} wide")
         Ts.append(T)
     tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
-    panels = len(tables) * max([sum([1 + e[3] + e[4] for e in t]) for t in tables])  # 1 + j + k
+    panels = len(tables) * max([sum([1 + j + k for *_, j, k in t]) for t in tables])
     if panels > MAX_PANELS:  # rows padded to the widest: refused before any edge
         raise DomainError(f"the integral needs about {panels:.3g} panels")
-    doublings = [0.0] + [h0 * 2.0**i for i in range(max([e[3] for t in tables for e in t]))]
+    ladder = [0.0] + [2.0**i for i in range(max([e[4] for t in tables for e in t]))]
     edges = []
     for table, T in zip(tables, Ts):  # {p T} U {knot + sign w : w a side's offsets}
         row = [p * T]
-        for knot, sign, cap, j, k in table:
-            w = doublings[:j + 1] + [cap * i for i in range(1, k + 1)] if k else doublings[:j + 1]
-            row += [knot + sign * x for x in w]
+        for knot, sign, start, cap, j, k in table:
+            row += [knot + sign * start * x for x in ladder[:j + 1]]  # start 2^i: exact
+            row += [knot + sign * cap * i for i in range(1, k + 1)] if k else ()
         edges.append(sorted(set(row)))
     counts = [len(row) - 1 for row in edges]  # panels per row
     for row in edges:  # padded to the widest with copies of the last edge
@@ -193,13 +195,13 @@ def _log_estimate(log_a, lam: ExponentVector):
 
 
 def _knots(row, end, caps, h0):
-    """One row's grid as a table: an entry (knot, sign, cap, j, k) for each
-    graded side of a gap between the knots {0} U {log a_k < end}; the last
-    gap runs up to end, which grades nothing.  From its knot, toward sign,
-    a side's panels are h0, h0, 2 h0, 4 h0, ... wide up to the gap's middle
-    (the last gap: up to end) and at most the cap: j doublings, then k cap
-    widths.  So every panel is at most its gap's cap wide but the one across
-    the middle of a gap between two knots, where two sides meet: twice that.
+    """One row's grid as a table: an entry (knot, sign, start, cap, j, k) for
+    each graded side of a gap between the knots {0} U {log a_k < end}; the
+    last gap runs up to end, which grades nothing.  From its knot, toward
+    sign, a side's panels are start (h0 but past the lift knot), start,
+    2 start, ... wide up to the gap's middle (the last gap: up to end) and at
+    most the cap: j doublings, then k cap widths.  So no panel is wider than
+    its gap's cap but the one across the middle, where two sides meet: 2 cap.
 
     Each g_i of `_iterated` is analytic in |Im s| < pi/2, its singularities
     lie above the knots s = log a_k, and between knots log g_i is nearly
@@ -215,46 +217,43 @@ def _knots(row, end, caps, h0):
     In the last gap G still counts the log a_k at its knot as not passed.
     Past max log a_k + w every a_k^2 / (a_k^2 + e^{2s}) is at most
     1 / (1 + e^{2w}), so each log g_i has slope at most lambda_i + 1 - n +
-    n / (1 + e^{2w}): where the last gap's cap is finite, the lift knot
-    max log a_k + w (below end) splits that gap if that takes fewer panels,
-    and caps[n + 1] = 2 / G_w, G_w = sum_{i >= 2} (lambda_i + 1 - n +
-    n / (1 + e^{2w}))_+, caps the gap beyond.  w = _LIFT = 4 puts
-    n / (1 + e^{2w}) below 3.4e-4 n, so G_w is 0 unless an inner rate lies
-    that near 0, and a near-divergent lambda, whose p T grows like
-    1 / margin, takes O(log end) panels, not O(end).  A knot less than
-    sys.float_info.min above the last kept knot merges into it, so no gap
-    halves to 0 (5e-324 next to 0); log g_i moves by at most 1 across h0, so
-    the dropped sliver panel, gap wide, would hold less than about e gap / h0 of L.
+    n / (1 + e^{2w}), and caps[n + 1] = 2 / G_w, G_w = sum_{i >= 2}
+    (lambda_i + 1 - n + n / (1 + e^{2w}))_+, caps the widths there: where
+    the last gap's cap is finite, the lift knot max log a_k + w (below end)
+    splits it.  The side past it, no singularity's, starts at caps[n + 1] /
+    2^m in [cap, 2 cap) (the cap if caps[n + 1] is inf), so no panel there
+    but the last is narrower than the cap, and the split costs at most one
+    panel over the unsplit gap, whose panels are within the cap.
+    w = _LIFT = 4 puts n / (1 + e^{2w}) below 3.4e-4 n, so G_w is 0 unless
+    an inner rate lies that near 0, and a near-divergent lambda, whose p T
+    grows like 1 / margin, takes O(log end) panels, not O(end).  A knot less
+    than sys.float_info.min above the last kept knot merges into it, so no
+    gap halves to 0 (5e-324 next to 0); log g_i moves by at most 1 across h0,
+    so the dropped sliver panel would hold less than about e gap / h0 of L.
     """
     row, knots = sorted(row), []
     for k in sorted({0.0, *row}):
         if k < end and (not knots or k - knots[-1] >= sys.float_info.min):
             knots.append(k)
-    table, below, n = [], 0, len(row)  # below: the log a_k < lo
+    lift, table, below, n = row[-1] + _LIFT, [], 0, len(row)  # below: the log a_k < lo
     for lo, hi in zip(knots, knots[1:] + [end]):
         while below < n and row[below] < lo:
             below += 1
-        last = hi == end  # the knots lie below end
-        cap = caps[n - below]
+        last, cap = hi == end, caps[n - below]  # the knots lie below end
+        if last and cap < math.inf and lift < end:  # the last gap, split at the lift knot
+            far, hi = caps[n + 1], lift
+            start = math.ldexp(far, 1 - math.frexp(far / cap)[1]) if far < math.inf else cap
+            table.append((lift, 1.0, start, far, *_side(end - lift, far, start)))
         j, k = _side((hi - lo) / (1 if last else 2), cap, h0)
-        table.append((lo, 1.0, cap, j, k))
+        table.append((lo, 1.0, h0, cap, j, k))
         if not last:
-            table.append((hi, -1.0, cap, j, k))
-    # the last gap, split at the lift knot where that takes fewer panels
-    # (1 + j + k a side: three sides against one)
-    lo, _, cap, j, k = table[-1]
-    lift = row[-1] + _LIFT
-    if cap < math.inf and lift < end:
-        near, far = _side((lift - lo) / 2, cap, h0), _side(end - lift, caps[n + 1], h0)
-        if 2 + 2 * sum(near) + sum(far) < j + k:
-            table[-1:] = [(lo, 1.0, cap, *near), (lift, -1.0, cap, *near),
-                          (lift, 1.0, caps[n + 1], *far)]
+            table.append((hi, -1.0, h0, cap, j, k))
     return table
 
 
-def _side(reach, cap, h0):
-    """j and k of a side of `_knots` that reaches `reach` from its knot."""
-    return max(0, math.ceil(math.log2(min(reach, cap) / h0))), max(0, math.ceil(reach / cap) - 1)
+def _side(reach, cap, w0):
+    """j and k of a side of `_knots`, w0 its start, that reaches `reach` from its knot."""
+    return max(0, math.ceil(math.log2(min(reach, cap) / w0))), max(0, math.ceil(reach / cap) - 1)
 
 
 def _lsum(terms):

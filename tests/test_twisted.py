@@ -68,6 +68,12 @@ def test_rayspec_validation():
             RaySpec([1.0], [1.0, bad])
     ray = RaySpec([1.0, 0.0], [0.0, 1.0])
     assert ray.point(1.0) == (math.e, 1.0)
+    # a point off the ray, or past the double range, is refused by name
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+            ray.point(bad)
+    with pytest.raises(OverflowError, match=r"^a\(t\) is above the double range"):
+        RaySpec([1.0], [1000.0]).point(1000.0)
     # a ray whose log a = t s is no double is refused when it is evaluated
     with pytest.raises(DomainError, match="t \\* s overflows"):
         fit_decay(RaySpec([1e300], [1e10, 2e10, 3e10]), ev(F(-1, 2)))
@@ -547,11 +553,15 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
     # panel from a graded knot is min(h0, cap) wide where its side reaches
     # that far; and no panel is wider than its gap's cap 2 / G, but for the
     # one across the middle of a gap between two knots: at most twice that.
-    # Where the last gap's cap is finite and that saves panels, the lift
-    # knot max log a_k + w below p T starts a last gap capped by 2 / G_w,
-    # with every c taken as n / (1 + e^{2w})
+    # Wherever the last gap's cap is finite and the lift knot max log a_k + w
+    # lies below p T, that gap is graded up to the lift knot, an edge, and
+    # one side runs on to p T: its first panel is min(start, reach) wide,
+    # start in [cap, 2 cap) doubling onto 2 / G_w (every c taken as
+    # n / (1 + e^{2w})), and every later panel but the one ending at p T is
+    # at least the cap and at most 2 / G_w wide.  So the table counts at most
+    # one panel more than without the lift knot
     tables, grids = [], []
-    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift"), 0)
+    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift", "lift_cap"), 0)
     knots, limit, lift = twisted._knots, twisted.MAX_PANELS, twisted._LIFT
 
     def table(row, end, caps, h0):  # and the table without the lift knot
@@ -564,6 +574,12 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
     def recursion(log_a, rates, edges, counts):  # the grid only
         grids.extend(zip(edges, counts))
         return [0.0] * len(edges), [0.0] * len(edges)
+
+    def cap_of(c):  # 2 / G, G = sum_{i >= 2} (lambda_i + 1 - n + c)_+
+        G = 0.0
+        for r in rates[1:]:
+            G += max(float(r) + c, 0.0)
+        return 2.0 / G if G else math.inf
 
     monkeypatch.setattr(twisted, "_knots", table)
     monkeypatch.setattr(twisted, "_iterated", recursion)
@@ -593,29 +609,24 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
         for (row, end, h0, plain, entries), (edges, count) in zip(tables, grids):
             edges = edges[:count + 1]
             ends = sorted(k for k in {0.0, *row} if k < end)
-            cs = [n - sum(k < lo for k in row) for lo in ends]  # c of each gap's cap
-            if entries != plain:  # the lift knot, only where it saves panels
-                assert any(float(r) + cs[-1] > 0 for r in rates[1:])
-                assert sum(1 + j + k for *_, j, k in entries) < \
-                    sum(1 + j + k for *_, j, k in plain)
-                ends.append(max(row) + lift)
-                cs.append(n / (1.0 + math.exp(2 * lift)))
-                seen["lift"] += 1
+            caps = [cap_of(n - sum(k < lo for k in row)) for lo in ends]
+            lift_at = max(row) + lift  # the lift knot
+            lifted = caps[-1] < math.inf and lift_at < end
+            assert (entries != plain) == lifted
             ends.append(end)
             assert edges[0] == 0.0 and edges[-1] == end
             assert all(u < v for u, v in zip(edges, edges[1:]))
             assert set(ends) <= set(edges)
             assert sum(1 + j + k for *_, j, k in entries) >= count
-            sides = {(knot, sign): cap for knot, sign, cap, *_ in entries}
+            sides = {(knot, sign): (start, cap) for knot, sign, start, cap, *_ in entries}
             seen["rows"] += 1
             seen["past"] += max(row) >= end
             seen["near"] += near
-            for lo, hi, c in zip(ends, ends[1:], cs):
-                G = 0.0
-                for r in rates[1:]:
-                    G += max(float(r) + c, 0.0)
-                cap, last = 2.0 / G if G else math.inf, hi == end
-                assert sides[lo, 1.0] == cap and (last or sides[hi, -1.0] == cap)
+            for lo, hi, cap in zip(ends, ends[1:], caps):
+                last = hi == end
+                if last and lifted:  # graded up to the lift knot only
+                    hi = lift_at
+                assert sides[lo, 1.0] == (h0, cap) and (last or sides[hi, -1.0] == (h0, cap))
                 seen["cap"] += cap < math.inf
                 reach, tol = (hi - lo) / (1 if last else 2), 4 * math.ulp(hi)
                 inside = [e for e in edges if lo <= e <= hi]
@@ -626,6 +637,20 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
                     middle = not last and u <= lo + reach <= v
                     assert v - u <= (2 if middle else 1) * cap + tol
                     seen["mid"] += middle and v - u > cap + tol
+            if lifted:
+                assert sum(1 + j + k for *_, j, k in entries) <= \
+                    sum(1 + j + k for *_, j, k in plain) + 1
+                assert lift_at in edges
+                cap, far, tol = caps[-1], cap_of(n / (1.0 + math.exp(2 * lift))), 4 * math.ulp(end)
+                start, got = sides[lift_at, 1.0]
+                assert got == far and cap * (1 - 1e-15) <= start < 2 * cap
+                assert start == cap if far == math.inf else math.frexp(far / start)[0] == 0.5
+                past = [e for e in edges if e >= lift_at]
+                assert abs(past[1] - lift_at - min(start, end - lift_at)) <= tol
+                for u, v in zip(past[:-2], past[1:-1]):  # all but the panel ending at p T
+                    assert cap - tol <= v - u <= far + tol
+                seen["lift"] += 1
+                seen["lift_cap"] += far < math.inf
         # the limit counts the rows times the widest table, padding included
         need = len(rows) * max(sum(1 + j + k for *_, j, k in t[-1]) for t in tables)
         monkeypatch.setattr(twisted, "MAX_PANELS", need - 1)
@@ -679,7 +704,7 @@ PINNED_LOG_ESTIMATES = [
     ([[_L(3.0), _L(2.0), _L(1.5)]], ["-2", "-2", "-3"],
      ["-0x1.7878895e6080fp+3"], ["0x1.6639ec451c434p+3"], [1440]),
     ([[1.0, 1.0]], ["-1", "-1/2", "-1/2"],
-     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [1260]),
+     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [990]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3", "-3"],
      ["-0x1.b1c19abd6a8fcp+3"], ["0x1.5ef10c620d288p+3"], [1440]),
     ([[2.0, 2.0, 0.0]], ["0", "0", "-1", "-1"],
@@ -798,7 +823,7 @@ def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
     est = evaluate([float(a)] * n, lam)
     err = abs(est.value - ref)
     assert err <= 1e-13 * ref and err <= est.abs_error
-    assert est.node_count < 5000
+    assert est.node_count < 4000
 
 
 @pytest.mark.parametrize("rows,lam", [
