@@ -221,15 +221,15 @@ def _knots(row, end, caps, h0):
     (lambda_i + 1 - n + n / (1 + e^{2w}))_+, caps the widths there: where
     the last gap's cap is finite, the lift knot max log a_k + w (below end)
     splits it.  The side past it, no singularity's, starts at caps[n + 1] /
-    2^m in [cap, 2 cap) (the cap if caps[n + 1] is inf), so no panel there
-    but the last is narrower than the cap, and the split costs at most one
-    panel over the unsplit gap, whose panels are within the cap.
-    w = _LIFT = 4 puts n / (1 + e^{2w}) below 3.4e-4 n, so G_w is 0 unless
-    an inner rate lies that near 0, and a near-divergent lambda, whose p T
-    grows like 1 / margin, takes O(log end) panels, not O(end).  A knot less
-    than sys.float_info.min above the last kept knot merges into it, so no
-    gap halves to 0 (5e-324 next to 0); log g_i moves by at most 1 across h0,
-    so the dropped sliver panel would hold less than about e gap / h0 of L.
+    2^m in [c0, 2 c0), c0 = min(cap, w) (c0 if caps[n + 1] is inf), so no
+    panel there is wider than about its distance to the last knot: w =
+    _LIFT = 4 puts n / (1 + e^{2w}) below 3.4e-4 n, so a finite G_w has
+    cap < 2 / (1 - 3.4e-4 n).  None but the last is narrower than c0: the
+    split costs at most 1 + log2(cap / c0) panels over the unsplit gap, and
+    a near-divergent lambda (p T ~ 1 / margin) O(log end) panels.  A knot
+    less than sys.float_info.min above the last kept knot merges into it (no
+    gap halves to 0, 5e-324 next to 0): log g_i moves by at most 1 across
+    h0, so the dropped sliver panel would hold less than about e gap / h0 of L.
     """
     row, knots = sorted(row), []
     for k in sorted({0.0, *row}):
@@ -241,8 +241,8 @@ def _knots(row, end, caps, h0):
             below += 1
         last, cap = hi == end, caps[n - below]  # the knots lie below end
         if last and cap < math.inf and lift < end:  # the last gap, split at the lift knot
-            far, hi = caps[n + 1], lift
-            start = math.ldexp(far, 1 - math.frexp(far / cap)[1]) if far < math.inf else cap
+            far, hi, c0 = caps[n + 1], lift, min(cap, _LIFT)
+            start = math.ldexp(far, 1 - math.frexp(far / c0)[1]) if far < math.inf else c0
             table.append((lift, 1.0, start, far, *_side(end - lift, far, start)))
         j, k = _side((hi - lo) / (1 if last else 2), cap, h0)
         table.append((lo, 1.0, h0, cap, j, k))

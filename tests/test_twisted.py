@@ -556,12 +556,15 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
     # Wherever the last gap's cap is finite and the lift knot max log a_k + w
     # lies below p T, that gap is graded up to the lift knot, an edge, and
     # one side runs on to p T: its first panel is min(start, reach) wide,
-    # start in [cap, 2 cap) doubling onto 2 / G_w (every c taken as
-    # n / (1 + e^{2w})), and every later panel but the one ending at p T is
-    # at least the cap and at most 2 / G_w wide.  So the table counts at most
-    # one panel more than without the lift knot
+    # start in [c0, 2 c0), c0 = min(cap, w), doubling onto 2 / G_w (every c
+    # taken as n / (1 + e^{2w})); every later panel but the one ending at p T
+    # is at least c0 wide and at most as wide as its offset from the lift
+    # knot, and every panel there is at most 2 / G_w wide.  So the table
+    # counts at most one panel more than without the lift knot, and
+    # log2(cap / w) more where the cap is above w
     tables, grids = [], []
-    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift", "lift_cap"), 0)
+    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift", "lift_cap",
+                          "lift_wide"), 0)
     knots, limit, lift = twisted._knots, twisted.MAX_PANELS, twisted._LIFT
 
     def table(row, end, caps, h0):  # and the table without the lift knot
@@ -592,6 +595,8 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
             rates[0] = -F(1, 10 ** rng.randint(1, 4))
         if p > 1 and rng.random() < 0.4:  # lambda_i + 1 - c > 0 for some c
             rates[rng.randrange(1, p)] = F(rng.randint(-2 * n, 2), 2) + F(1, 3)
+        if p > 1 and rng.random() < 0.2:  # just above -c: a cap far above w
+            rates[rng.randrange(1, p)] = F(1, 10 ** rng.randint(1, 4)) - rng.randint(1, n)
         top = max(itertools.accumulate(rates))
         if top >= 0:  # convergent again, with the least margin -1/7
             rates[0] -= top + F(1, 7)
@@ -638,19 +643,23 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
                     assert v - u <= (2 if middle else 1) * cap + tol
                     seen["mid"] += middle and v - u > cap + tol
             if lifted:
-                assert sum(1 + j + k for *_, j, k in entries) <= \
-                    sum(1 + j + k for *_, j, k in plain) + 1
-                assert lift_at in edges
                 cap, far, tol = caps[-1], cap_of(n / (1.0 + math.exp(2 * lift))), 4 * math.ulp(end)
+                extra = max(0, math.ceil(math.log2(cap / lift)))
+                assert sum(1 + j + k for *_, j, k in entries) <= \
+                    sum(1 + j + k for *_, j, k in plain) + 1 + extra
+                assert lift_at in edges
+                c0 = min(cap, lift)
                 start, got = sides[lift_at, 1.0]
-                assert got == far and cap * (1 - 1e-15) <= start < 2 * cap
-                assert start == cap if far == math.inf else math.frexp(far / start)[0] == 0.5
+                assert got == far and c0 * (1 - 1e-15) <= start < 2 * c0
+                assert start == c0 if far == math.inf else math.frexp(far / start)[0] == 0.5
                 past = [e for e in edges if e >= lift_at]
                 assert abs(past[1] - lift_at - min(start, end - lift_at)) <= tol
-                for u, v in zip(past[:-2], past[1:-1]):  # all but the panel ending at p T
-                    assert cap - tol <= v - u <= far + tol
+                for u, v in zip(past[1:-2], past[2:-1]):  # all but the first and the last
+                    assert c0 - tol <= v - u <= u - lift_at + tol
+                assert all(v - u <= far + tol for u, v in zip(past, past[1:]))
                 seen["lift"] += 1
                 seen["lift_cap"] += far < math.inf
+                seen["lift_wide"] += cap > 2 * lift
         # the limit counts the rows times the widest table, padding included
         need = len(rows) * max(sum(1 + j + k for *_, j, k in t[-1]) for t in tables)
         monkeypatch.setattr(twisted, "MAX_PANELS", need - 1)
@@ -824,6 +833,36 @@ def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
     err = abs(est.value - ref)
     assert err <= 1e-13 * ref and err <= est.abs_error
     assert est.node_count < 4000
+
+
+# L at p = 2, lambda - (n - 1) = (r_1, r_2) with r_2 just above -n and a =
+# (a, ..., a), as float.hex, keyed by (n, a, r_1, r_2): the last gap's cap
+# 2 / (r_2 + n) is 200, 2000 or 100, far above the lift offset w = 4, and
+# 2 / G_w is infinite; the last row's cap is 4.  By mpmath at 40 digits, in
+# s = log b, as L = F_2(inf) int g_1 - int g_2(t) G_1(t) dt, G_1(t) =
+# int_0^t g_1, with int_0^t e^{r_1 s} h = (1 - e^{r_1 t}) / |r_1| +
+# int_0^t e^{r_1 s} (h - 1), h = (1 + a^2 e^{-2s})^{-n/2}, each by
+# tanh-sinh quadrature split at log a + (0, 2, 6, 15, 40, 100, 250); the
+# same scheme gives NEAR_DIVERGENT[2, 1, 20] at k = 3 to the last bit
+WIDE_CAP = {
+    (1, 20, F(-1, 1000), F(-99, 100)): "0x1.779413555cdafp+7",
+    (1, 1, F(-1, 1000), F(-99, 100)): "0x1.bcff51725e2a4p+9",
+    (2, 20, F(-1, 1000), F(-199, 100)): "0x1.e5eb87df3cac1p+2",
+    (1, 20, F(-1, 10), F(-999, 1000)): "0x1.62521da86b479p+0",
+    (2, 1, F(-1, 100), F(-3, 2)): "0x1.82609579e8559p+5",
+}
+
+
+@pytest.mark.parametrize("n,a,r1,r2", WIDE_CAP)
+def test_a_cap_far_above_the_lift_offset_matches_mpmath(n, a, r1, r2):
+    # past the lift knot g_2 still falls like e^{r_2 s}: a first panel as
+    # wide as the cap (200 at the first row) left L wrong by 1e-5, with an
+    # error figure of 3e-3; starting at min(cap, w) keeps it within 1e-13
+    est = evaluate([float(a)] * n, ev(r1 + n - 1, r2 + n - 1))
+    ref = float.fromhex(WIDE_CAP[n, a, r1, r2])
+    err = abs(est.value - ref)
+    assert err <= 1e-13 * ref and err <= est.abs_error
+    assert est.node_count < 2000
 
 
 @pytest.mark.parametrize("rows,lam", [
