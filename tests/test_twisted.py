@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -667,6 +668,59 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
             twisted._log_estimate(rows, lam)
         monkeypatch.setattr(twisted, "MAX_PANELS", limit)
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def _grid_inputs(seed, count):
+    # the strata of test_grid_rules_hold_on_every_row: near-divergent first
+    # margins, inner rates that give finite caps and caps far above the lift
+    # offset (and so lifted rows), 1-4 rows of zero, repeated, subnormal,
+    # moderate and large log a
+    rng = random.Random(seed)
+    for _ in range(count):
+        p, n = rng.randint(1, 4), rng.randint(1, 3)
+        rates = [-F(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(p)]
+        if rng.random() < 0.3:
+            rates[0] = -F(1, 10 ** rng.randint(1, 6))
+        if p > 1 and rng.random() < 0.4:
+            rates[rng.randrange(1, p)] = F(rng.randint(-2 * n, 2), 2) + F(1, 3)
+        if p > 1 and rng.random() < 0.2:
+            rates[rng.randrange(1, p)] = F(1, 10 ** rng.randint(1, 4)) - rng.randint(1, n)
+        top = max(itertools.accumulate(rates))
+        if top >= 0:
+            rates[0] -= top + F(1, 7)
+        pool = [0.0, 5e-324, 1e-310, rng.uniform(0, 3), rng.uniform(0, 30), rng.uniform(0, 3000)]
+        if rng.random() < 0.1:
+            pool.append(rng.choice((rng.uniform(1e5, 1e9), 10.0 ** rng.randint(10, 18))))
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            row = [rng.choice(pool) for _ in range(n)]
+            rows.append(row[:1] * n if rng.random() < 0.2 else row)
+        yield rows, ev(*[r + n - 1 for r in rates])
+
+
+def test_grid_is_pinned_bit_for_bit(monkeypatch):
+    # everything `_log_estimate` hands the recursion (rates, the padded edges
+    # and the panel counts), T and the node counts, or the refusal, over 300
+    # seeded inputs, as float.hex: the grid is built in `math` alone, so its
+    # sha256 cannot move with numpy's SIMD dispatch
+    lines = []
+
+    def recursion(log_a, rates, edges, counts):
+        lines.append(" ".join(map(float.hex, rates)))
+        lines.extend(" ".join(map(float.hex, row)) for row in edges)
+        lines.append(" ".join(map(str, counts)))
+        return [0.0] * len(edges), [0.0] * len(edges)
+
+    monkeypatch.setattr(twisted, "_iterated", recursion)
+    for rows, lam in _grid_inputs(31, 300):
+        try:
+            _, _, Ts, nodes = twisted._log_estimate(rows, lam)
+        except DomainError as exc:
+            lines.append(str(exc))
+            continue
+        lines.append(" ".join(map(float.hex, Ts)) + " " + " ".join(map(str, nodes)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1c5e951227383d92f0be989d28f0673ed681a6feae7cb30475c249b35e647543", digest
 
 
 # log L, T and the node count of `_log_estimate` since T puts the tail at
