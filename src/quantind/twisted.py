@@ -32,6 +32,7 @@ from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
 
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
 _LIFT = 4.0  # the lift knot's offset past the last knot (`_knots`)
+_LIFT_SCALE = 1.0 + math.exp(2 * _LIFT)  # past it, a_k^2 / (a_k^2 + e^{2s}) <= 1 / this
 _DIVERGES = "integral diverges: lambda - (n-1)*1 is not < 0"
 
 
@@ -125,7 +126,9 @@ def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     0 and the log a_k.  Raises OverflowError where L lies below the normal
     double range; DomainError where the grid would exceed MAX_PANELS or, at a
     least margin below about 8e-307 (p = n = 1, a = 1), the double range, or
-    where doubles at the largest knot below p T lie wider apart than a panel.
+    where doubles at the largest knot below p T lie wider apart than a panel;
+    DomainError too where an entry or prefix sum of lambda - (n-1)*1 lies
+    beyond the double range.
     """
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
@@ -141,31 +144,46 @@ def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule, and eps for the tail), T and the node
-    count: the lambda side, h0 and the width caps once per call, log f(t0),
-    T, the refusals and the grid table of each row in plain loops."""
+    count.  The set-up is plain loops, each once per call or once per row:
+    the lambda side (rates, least margin, h0) in one loop and the width caps
+    in another; log f(t0), T and the refusals per row; each row's `_knots`
+    table; the panel count of the widest row, refused before any edge; and
+    each row's edges, every side's offsets in one list and one
+    sorted(set(...)), rows shorter than the widest padded to it."""
     p, n = len(lam), len(log_a[0])
-    D, rates, margins = _rates(lam, n)
-    if not all(m < 0 for m in margins):
+    D, ints, sums = _rates(lam, n)
+    if not all(m < 0 for m in sums):
         raise DomainError(_DIVERGES)
-    rates, margins = [r / D for r in rates], [m / D for m in margins]  # = float(Fraction)
-    slope, eps = min(map(abs, margins)), sys.float_info.epsilon
-    h0 = 1.0 / max(1.0, max(max(abs(r), abs(r + n)) for r in rates))  # see `_knots`
+    rates, top, slope = [], 1.0, math.inf  # top: the steepest slope, see `_knots`
+    try:
+        for r, m in zip(ints, sums):  # = float(Fraction(r, D)); m ends as the last margin
+            r, m = r / D, m / D
+            rates.append(r)
+            top, slope = max(top, abs(r), abs(r + n)), min(slope, -m)
+    except OverflowError:
+        raise DomainError("lambda - (n-1)*1 lies beyond the double range") from None
+    h0, eps = 1.0 / top, sys.float_info.epsilon
     # caps[c]: 2 / G above a knot with c of the log a_k at or past it, and
     # caps[n + 1]: 2 / G_w past the lift knot max log a_k + _LIFT (`_knots`)
-    caps = [2.0 / G if G else math.inf
-            for G in [_lsum([r + c for r in rates[1:] if r + c > 0])
-                      for c in [*range(n + 1), n / (1.0 + math.exp(2 * _LIFT))]]]
-    Ts = []  # the tail outside [0, T]^p is at most eps L: see `evaluate`
-    for row in log_a:
+    caps = []
+    for c in (*range(n + 1), n / _LIFT_SCALE):
+        G = 0.0  # summed left to right, as by _lsum
+        for r in rates[1:]:
+            if r + c > 0:
+                G += r + c
+        caps.append(2.0 / G if G else math.inf)
+    Ts, log_tail, exp, log1p = [], math.log(p / eps), math.exp, math.log1p
+    for row in log_a:  # the tail outside [0, T]^p is at most eps L: see `evaluate`
         # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
         log_f0 = -math.inf
         for c in {0.0, *row}:
             acc = 0.0
             for k in row:
                 d = k - c
-                acc += (d + abs(d) + math.log1p(math.exp(-2.0 * abs(d)))) / 2
-            log_f0 = max(log_f0, margins[-1] * c - p * acc)
-        T = (math.log(p / eps) - log_f0) / slope if slope else math.inf
+                acc += (d + abs(d) + log1p(exp(-2.0 * abs(d)))) / 2
+            if m * c - p * acc > log_f0:
+                log_f0 = m * c - p * acc
+        T = (log_tail - log_f0) / slope if slope else math.inf
         # grading toward min(p T, max log a_k), the largest knot below p T or
         # p T itself, needs doubles h0 apart there; 2 (n + 1) rows p^2 T / h0
         # then bounds every width, node and panel count of the grid
@@ -176,20 +194,32 @@ def _log_estimate(log_a, lam: ExponentVector):
                               f"small for panels {h0:.3g} wide")
         Ts.append(T)
     tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
-    panels = len(tables) * max([sum([1 + j + k for *_, j, k in t]) for t in tables])
-    if panels > MAX_PANELS:  # rows padded to the widest: refused before any edge
-        raise DomainError(f"the integral needs about {panels:.3g} panels")
-    ladder = [0.0] + [2.0**i for i in range(max([e[4] for t in tables for e in t]))]
-    edges = []
+    widest = 0
+    for table in tables:
+        size = len(table)
+        for entry in table:
+            size += entry[4] + entry[5]
+        widest = max(widest, size)
+    if len(tables) * widest > MAX_PANELS:  # rows padded to the widest: refused before any edge
+        raise DomainError(f"the integral needs about {len(tables) * widest:.3g} panels")
+    edges, counts = [], []
     for table, T in zip(tables, Ts):  # {p T} U {knot + sign w : w a side's offsets}
         row = [p * T]
         for knot, sign, start, cap, j, k in table:
-            row += [knot + sign * start * x for x in ladder[:j + 1]]  # start 2^i: exact
-            row += [knot + sign * cap * i for i in range(1, k + 1)] if k else ()
+            row.append(knot)
+            w = sign * start
+            for _ in range(j):  # w = sign start 2^i: doubling is exact
+                row.append(knot + w)
+                w += w
+            if k:
+                w = sign * cap
+                row += [knot + w * i for i in range(1, k + 1)]
         edges.append(sorted(set(row)))
-    counts = [len(row) - 1 for row in edges]  # panels per row
-    for row in edges:  # padded to the widest with copies of the last edge
-        row += row[-1:] * (max(counts) + 1 - len(row))
+        counts.append(len(edges[-1]) - 1)  # panels per row
+    widest = max(counts)
+    for row, count in zip(edges, counts):  # padded to the widest with copies of the last edge
+        if count < widest:
+            row += row[-1:] * (widest - count)
     logs, errors = _iterated(log_a, rates, edges, counts)
     return logs, [e + eps for e in errors], Ts, [p * 30 * count for count in counts]
 
@@ -231,15 +261,16 @@ def _knots(row, end, caps, h0):
     gap halves to 0, 5e-324 next to 0): log g_i moves by at most 1 across
     h0, so the dropped sliver panel would hold less than about e gap / h0 of L.
     """
-    row, knots = sorted(row), []
-    for k in sorted({0.0, *row}):
-        if k < end and (not knots or k - knots[-1] >= sys.float_info.min):
+    row, knots, below, table = sorted(row), [0.0], [0], []  # below: the log a_k < a knot
+    for i, k in enumerate(row):  # one pass over the sorted row (log a_k >= 0)
+        if k >= end:
+            break
+        if k - knots[-1] >= sys.float_info.min:
             knots.append(k)
-    lift, table, below, n = row[-1] + _LIFT, [], 0, len(row)  # below: the log a_k < lo
-    for lo, hi in zip(knots, knots[1:] + [end]):
-        while below < n and row[below] < lo:
-            below += 1
-        last, cap = hi == end, caps[n - below]  # the knots lie below end
+            below.append(i)
+    lift, n = row[-1] + _LIFT, len(row)
+    for lo, hi, c in zip(knots, knots[1:] + [end], below):
+        last, cap = hi == end, caps[n - c]  # the knots lie below end
         if last and cap < math.inf and lift < end:  # the last gap, split at the lift knot
             far, hi, c0 = caps[n + 1], lift, min(cap, _LIFT)
             start = math.ldexp(far, 1 - math.frexp(far / c0)[1]) if far < math.inf else c0
@@ -387,9 +418,11 @@ def _iterated(log_a, rates, edges, counts):
                 levels.append(np.logaddexp.reduce(log_tot, axis=1).tolist())
                 break
             np.logaddexp.accumulate(cum, axis=1, out=cum)  # log F_i at panel ends
-            # F_i(left end) and out's unit over F_i(right end) give F_i at the nodes
-            G = np.exp(np.concatenate((cum[:, :-1] - log_tot, scale - log_tot), 2))[..., rule2]
-            F = np.maximum(sums[..., :30], 0.0, out=h) * G[..., 30:] + G[..., :30]
+            # F_i at the nodes, in place: out's unit and F_i(left end) over
+            # F_i(right end), each taken to its rule's nodes
+            F = np.maximum(sums[..., :30], 0.0, out=h)
+            F *= np.exp(scale - log_tot).take(rule2[:30], 2)
+            F += np.exp(cum[:, :-1] - log_tot).take(rule2[:30], 2)
             scale = log_half + (log_tot - cum[:, -1:])  # + log(F_i(right end) / F_i(S))
             levels.append(cum[:, -1].tolist())
     logs, errors = [], []

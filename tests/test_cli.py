@@ -450,6 +450,15 @@ def test_verify_integral_margin_too_small_is_refused_by_name(capsys, k):
     assert err.startswith("error: the least margin ") and err.count("\n") == 1
 
 
+def test_verify_integral_lambda_beyond_the_double_range_is_refused_by_name(capsys):
+    code, out, err = invoke(
+        capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda", f"-{10**400}",
+        "--ray", "1", "--tmax", "6", "--samples", "3", "--delta", "0.05",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: lambda - (n-1)*1 lies beyond the double range\n"
+
+
 # chain documents for CLI_CASES, written as {tmp}/<name>
 CLI_CHAINS = {
     "kind_u.json": {"start": "O", "lambda": ["-1"], "groups": [{"kind": "U", "n": 1}]},

@@ -18,6 +18,7 @@ from quantind import (
     converges,
     evaluate,
     fit_decay,
+    lpn,
     twisted,
 )
 
@@ -723,6 +724,47 @@ def test_grid_is_pinned_bit_for_bit(monkeypatch):
     assert digest == "1c5e951227383d92f0be989d28f0673ed681a6feae7cb30475c249b35e647543", digest
 
 
+class _CountingNumpy:
+    """numpy's namespace, counting each call into it: its functions, its
+    ufuncs and their methods (reduce, accumulate, ...), by name."""
+
+    def __init__(self, counts, prefix="", target=np):
+        self._counts, self._prefix, self._target = counts, prefix, target
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if isinstance(attr, np.ufunc):
+            return _CountingNumpy(self._counts, name + ".", attr)
+        if not callable(attr):
+            return attr
+        return self._counting(self._prefix + name, attr)
+
+    def __call__(self, *args, **kwargs):
+        return self._counting(self._prefix.rstrip("."), self._target)(*args, **kwargs)
+
+    def _counting(self, name, fn):
+        def call(*args, **kwargs):
+            self._counts[name] = self._counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("a,lam,bound", [
+    ([3.0], ["-1/2"], 18),  # p = n = 1
+    ([3.0, 1.5], ["-1", "-3/2"], 28),  # p = n = 2
+])
+def test_evaluate_makes_a_pinned_number_of_numpy_calls(monkeypatch, a, lam, bound):
+    # a work counter for the panel recursion: the calls one `evaluate` makes
+    # into numpy, counted by a stand-in installed for that call only (the
+    # Gauss-Legendre rule, cached, is built before), pinned as upper bounds
+    lam, counts = ExponentVector(lam), {}
+    expected = evaluate(a, lam)
+    monkeypatch.setitem(sys.modules, "numpy", _CountingNumpy(counts))
+    assert evaluate(a, lam) == expected
+    monkeypatch.undo()
+    assert sum(counts.values()) <= bound, counts
+
+
 # log L, T and the node count of `_log_estimate` since T puts the tail at
 # one epsilon of L, as float.hex (each log L that this moved, all at p = 1,
 # moved toward a 40-digit mpmath value): p = 1-5, n = 1-3, repeated and zero
@@ -931,6 +973,33 @@ def test_a_cap_far_above_the_lift_offset_matches_mpmath(n, a, r1, r2):
 def test_margin_too_small_for_the_grid_is_refused_by_name(rows, lam):
     with pytest.raises(DomainError, match=r"^the least margin .* is too small"):
         twisted._log_estimate(rows, ExponentVector(lam))
+
+
+@pytest.mark.parametrize("lam,n", [
+    ([-(10**400)], 1),  # an entry past the double range
+    ([F(-1, 2), -(10**400)], 1),
+    ([-(10**308), -(10**308)], 1),  # each entry in it, the prefix sum -2e308 not
+])
+def test_lambda_beyond_the_double_range_is_refused_by_name(lam, n):
+    # where the exact lambda side first turns into floats, by name and not
+    # as Python's OverflowError from the integer division
+    lam, match = ExponentVector(lam), r"^lambda - \(n-1\)\*1 lies beyond the double range$"
+    with pytest.raises(DomainError, match=match):
+        twisted._log_estimate([[1.0] * n], lam)
+    if n == 1:
+        with pytest.raises(DomainError, match=match):
+            evaluate([2.0], lam)
+        with pytest.raises(DomainError, match=match):
+            fit_decay(RaySpec([1.0], [1.0, 2.0, 3.0]), lam)
+
+
+def test_check_gr2_refuses_lambda_beyond_the_double_range_by_name():
+    # mu = L(p,n)(lambda) has entries in [-p, 0], so its floats are in range:
+    # the refusal comes where the ray's pass turns lambda into floats
+    ray = RaySpec([1.0], [1.0, 2.0, 3.0])
+    assert lpn(ev(-(10**400)), 1, 1).output.floats() == (-1.0,)
+    with pytest.raises(DomainError, match=r"^lambda - \(n-1\)\*1 lies beyond the double range$"):
+        check_gr2(ev(-(10**400)), 1, 1, [ray])
 
 
 def test_node_log_hypot_is_finite_without_warnings():
