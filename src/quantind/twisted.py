@@ -144,12 +144,9 @@ def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
     log L, its relative error (rule, and eps for the tail), T and the node
-    count.  The set-up is plain loops, each once per call or once per row:
-    the lambda side (rates, least margin, h0) in one loop and the width caps
-    in another; log f(t0), T and the refusals per row; each row's `_knots`
-    table; the panel count of the widest row, refused before any edge; and
-    each row's edges, every side's offsets in one list and one
-    sorted(set(...)), rows shorter than the widest padded to it."""
+    count.  The set-up runs in plain loops: the lambda side and the width
+    caps once per call; log f(t0), T, the refusals, the `_knots` table and
+    the edges (one list, one sorted(set(...))) once per row."""
     p, n = len(lam), len(log_a[0])
     D, ints, sums = _rates(lam, n)
     if not all(m < 0 for m in sums):
@@ -194,12 +191,7 @@ def _log_estimate(log_a, lam: ExponentVector):
                               f"small for panels {h0:.3g} wide")
         Ts.append(T)
     tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
-    widest = 0
-    for table in tables:
-        size = len(table)
-        for entry in table:
-            size += entry[4] + entry[5]
-        widest = max(widest, size)
+    widest = max([len(t) + sum([e[4] + e[5] for e in t]) for t in tables])  # 1 + j + k each
     if len(tables) * widest > MAX_PANELS:  # rows padded to the widest: refused before any edge
         raise DomainError(f"the integral needs about {len(tables) * widest:.3g} panels")
     edges, counts = [], []
