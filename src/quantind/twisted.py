@@ -191,9 +191,9 @@ def _log_estimate(log_a, lam: ExponentVector):
                               f"small for panels {h0:.3g} wide")
         Ts.append(T)
     tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
-    widest = max([len(t) + sum([e[4] + e[5] for e in t]) for t in tables])  # 1 + j + k each
-    if len(tables) * widest > MAX_PANELS:  # rows padded to the widest: refused before any edge
-        raise DomainError(f"the integral needs about {len(tables) * widest:.3g} panels")
+    panels = len(tables) * max([len(t) + sum([e[4] + e[5] for e in t]) for t in tables])
+    if panels > MAX_PANELS:  # rows padded to the widest: refused before any edge
+        raise DomainError(f"the integral needs about {panels:.3g} panels")
     edges, counts = [], []
     for table, T in zip(tables, Ts):  # {p T} U {knot + sign w : w a side's offsets}
         row = [p * T]
