@@ -725,22 +725,21 @@ def test_grid_is_pinned_bit_for_bit(monkeypatch):
 
 
 class _CountingNumpy:
-    """numpy's namespace, counting each call into it: its functions, its
-    ufuncs and their methods (reduce, accumulate, ...), by name."""
+    """numpy's namespace, or one of its ufuncs, counting each call into it by
+    name: its functions, its ufuncs and their methods (reduce, accumulate)."""
 
-    def __init__(self, counts, prefix="", target=np):
-        self._counts, self._prefix, self._target = counts, prefix, target
+    def __init__(self, counts, target=np, name=""):
+        self._counts, self._target, self._name = counts, target, name
 
-    def __getattr__(self, name):
-        attr = getattr(self._target, name)
-        if isinstance(attr, np.ufunc):
-            return _CountingNumpy(self._counts, name + ".", attr)
-        if not callable(attr):
-            return attr
-        return self._counting(self._prefix + name, attr)
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        name = f"{self._name}.{attr}" if self._name else attr
+        if isinstance(value, np.ufunc):
+            return _CountingNumpy(self._counts, value, name)
+        return self._counting(name, value) if callable(value) else value
 
     def __call__(self, *args, **kwargs):
-        return self._counting(self._prefix.rstrip("."), self._target)(*args, **kwargs)
+        return self._counting(self._name, self._target)(*args, **kwargs)
 
     def _counting(self, name, fn):
         def call(*args, **kwargs):
