@@ -178,8 +178,7 @@ def _log_estimate(log_a, lam: ExponentVector):
             for k in row:
                 d = k - c
                 acc += (d + abs(d) + log1p(exp(-2.0 * abs(d)))) / 2
-            if m * c - p * acc > log_f0:
-                log_f0 = m * c - p * acc
+            log_f0 = max(log_f0, m * c - p * acc)
         T = (log_tail - log_f0) / slope if slope else math.inf
         # grading toward min(p T, max log a_k), the largest knot below p T or
         # p T itself, needs doubles h0 apart there; 2 (n + 1) rows p^2 T / h0
