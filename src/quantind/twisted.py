@@ -11,11 +11,11 @@ integrand is then bounded by exp(sum_j m_j t_j) with margins
 
     m_j = sum_{i<=j} (lambda_i - n + 1) < 0,
 
-which yields the convergence criterion and an analytic truncation tail
-bound.  For every p the integral is then taken in s_i = log b_i, as an
-iterated one-dimensional integral evaluated in log space on Gauss-Legendre
-panels graded toward the knots s = log a_k.  Exponents lambda are exact
-rationals; evaluation is floating point.
+which yields the convergence criterion.  For every p the integral is then
+taken in s_i = log b_i, as an iterated one-dimensional integral evaluated in
+log space on Gauss-Legendre panels graded toward the knots s = log a_k, up to
+S = max log a_k + W; past S it is a sum in closed form.  Exponents lambda are
+exact rationals; evaluation is floating point.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .lpn import lpn
 from .vectors import DomainError, ExponentVector, _normal_exp, _record, _size
 
 MAX_PANELS = 100_000  # bounds the memory of the panel recursion
-_LIFT = 4.0  # the lift knot's offset past the last knot (`_knots`)
-_LIFT_SCALE = 1.0 + math.exp(2 * _LIFT)  # past it, a_k^2 / (a_k^2 + e^{2s}) <= 1 / this
 _DIVERGES = "integral diverges: lambda - (n-1)*1 is not < 0"
 
 
@@ -60,17 +58,16 @@ class RaySpec(_record("RaySpec", "direction t_values")):
         return tuple(_normal_exp(t * s, "a(t)") for s in self.direction)
 
 
-class IntegralEstimate(_record("IntegralEstimate", "value abs_error truncation_T node_count")):
+class IntegralEstimate(_record("IntegralEstimate", "value abs_error node_count")):
     """The value of L(a, lambda) and its error figure.
 
     value: always a positive normal double; where L lies below that range
     `evaluate` raises OverflowError instead (`fit_decay` and `check_gr2`
     work on log L and need no such value).
-    abs_error: the rule's own error estimate plus eps L, eps the double's
-    epsilon, which bounds the tail beyond truncation_T (see `evaluate`).
-    The rule's part, for every p, is the gap between two Gauss-Legendre
-    orders on s_1 <= p T, a region that holds the t-space box [0, T]^p,
-    plus a rounding term.
+    abs_error: the gap between two Gauss-Legendre orders on s_1 <= S, a
+    rounding term for each summand of the closed-form tail past S, and
+    the bound eps L / 2, eps the double's epsilon, on what taking h = 1
+    past S moves (see `evaluate`).
     node_count: the number of evaluations of the factors g_i.
     """
 
@@ -114,92 +111,97 @@ def _rates(lam: ExponentVector, n: int):
 def evaluate(a: Sequence[float], lam: ExponentVector) -> IntegralEstimate:
     """Numerically evaluate L(a, lambda) with an error figure.
 
-    One method serves every p: `_iterated` integrates on s_1 <= p T, whose
-    excluded part {s_1 > p T} lies in the union of the {t_j > T}.  There the
-    envelope exp(sum m_j t_j) leaves a mass of at most
-    p exp(-min |m_j| T) / prod |m_j|.  log f has slope at least m_j in each
-    t_j (its hypot factors shrink as t grows), so L >= f(t0) / prod |m_j|
-    for any t0.  So T = (log(p / eps) - log f(t0)) / min |m_j|, eps the
-    double's epsilon, puts that tail at or below eps L, and abs_error adds
-    eps L for it.  At t0 = (0, ..., 0, c),
-    log f(t0) = m_p c - p sum_k log hypot(a_k e^{-c}, 1), with c the best of
-    0 and the log a_k.  Raises OverflowError where L lies below the normal
-    double range; DomainError where the grid would exceed MAX_PANELS or, at a
-    least margin below about 8e-307 (p = n = 1, a = 1), the double range, or
-    where doubles at the largest knot below p T lie wider apart than a panel;
-    DomainError too where an entry or prefix sum of lambda - (n-1)*1 lies
-    beyond the double range.
+    One method serves every p: `_iterated` integrates on s_1 <= S, S =
+    max log a_k + W, W = log(p n / eps) / 2, eps the double's epsilon, and
+    the rest of L is a sum in closed form.  Past S each factor is
+    g_i(s) = e^{r_i s} h(s), r_i = lambda_i + 1 - n, where
+    h = prod_k (1 + a_k^2 e^{-2s})^{-1/2} lies between 1 - n e^{-2W} / 2
+    and 1.  With h taken as 1 there, the part of L where
+    s_1, ..., s_{j-1} > S >= s_j is F_j(S) e^{m_{j-1} S} / prod_{l<j} |m_l|
+    (t_l = s_l - s_{l+1} leaves only the margins, all < 0), with m_0 = 0
+    and F_{p+1} = 1: L is the sum of these p + 1 positive terms.  The term
+    j has j - 1 <= p factors past S, so dropping h moves L by a relative
+    p n e^{-2W} / 2 = eps / 2 at most, one-sided; abs_error adds that
+    bound, taken at the distance from max log a_k to S as rounded.  Raises
+    OverflowError where L lies below the normal double range; DomainError
+    where the grid would exceed MAX_PANELS, where doubles at max log a_k
+    lie wider apart than a panel, where a margin floats to 0, where
+    p S / h0 passes the double range (an entry of lambda - (n-1)*1 above
+    about 1e307 in size), and where an entry or prefix sum of
+    lambda - (n-1)*1 lies beyond the double range.
     """
     a = tuple(float(x) for x in a)
     if not a or any(x < 1.0 for x in a):
         raise DomainError("a entries must be >= 1")
     if not all(map(math.isfinite, a)):
         raise DomainError("a entries must be finite")
-    [log_value], [rel_error], [T], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
+    [log_value], [rel_error], [nodes] = _log_estimate([[*map(math.log, a)]], lam)
     value = _normal_exp(log_value, f"L(a, lambda) = e^{log_value:.6g}")
-    return IntegralEstimate(value, value * rel_error, T, nodes)
+    return IntegralEstimate(value, value * rel_error, nodes)
 
 
 def _log_estimate(log_a, lam: ExponentVector):
     """`evaluate` without the exp, at each row of log a (the points of a ray,
     in one pass), so L and a may lie outside the double range: lists of
-    log L, its relative error (rule, and eps for the tail), T and the node
-    count.  The set-up runs in plain loops: the lambda side and the width
-    caps once per call; log f(t0), T, the refusals, the `_knots` table and
-    the edges (one list, one sorted(set(...))) once per row."""
+    log L, its relative error and the node count.  Plain loops run the
+    lambda side, the tail's margins and the width caps once per call; S,
+    the refusals, the `_knots` table, the edges (one list, one
+    sorted(set(...))) and, after the recursion, the tail sum once per row."""
     p, n = len(lam), len(log_a[0])
     D, ints, sums = _rates(lam, n)
     if not all(m < 0 for m in sums):
         raise DomainError(_DIVERGES)
-    rates, top, slope = [], 1.0, math.inf  # top: the steepest slope, see `_knots`
+    rates, margins, top = [], [0.0], 1.0  # top: the steepest slope, see `_knots`
     try:
-        for r, m in zip(ints, sums):  # = float(Fraction(r, D)); m ends as the last margin
-            r, m = r / D, m / D
+        for r, m in zip(ints, sums):  # = float(Fraction(r, D)); margins[j] is m_j
+            r = r / D
             rates.append(r)
-            top, slope = max(top, abs(r), abs(r + n)), min(slope, -m)
+            margins.append(m / D)
+            top = max(top, abs(r), abs(r + n))
     except OverflowError:
         raise DomainError("lambda - (n-1)*1 lies beyond the double range") from None
     h0, eps = 1.0 / top, sys.float_info.epsilon
-    # caps[c]: 2 / G above a knot with c of the log a_k at or past it, and
-    # caps[n + 1]: 2 / G_w past the lift knot max log a_k + _LIFT (`_knots`)
-    caps = []
-    for c in (*range(n + 1), n / _LIFT_SCALE):
+    if 0.0 in margins[1:]:  # a margin floats to 0: the float form of the integrand diverges
+        raise DomainError(f"the least margin 0 of lambda - (n-1)*1 is too small for panels "
+                          f"{h0:.3g} wide")
+    # norms[j] = log prod_{l<=j} |m_l| from the exact margins, each scaled by 2^e
+    # into the normal range first (a subnormal margin keeps its digits)
+    norms, sizes = [0.0], [0.0]
+    for m in sums:
+        e = max(0, D.bit_length() - (-m).bit_length() - 1021)
+        x = math.log((-m << e) / D)
+        norms.append(norms[-1] + (x - e * math.log(2.0)))
+        sizes.append(sizes[-1] + (1.0 + abs(x) + e))
+    caps = []  # caps[c]: 2 / G above a knot with c of the log a_k at or past it
+    for c in range(n + 1):
         G = 0.0  # summed left to right, as by _lsum
         for r in rates[1:]:
             if r + c > 0:
                 G += r + c
         caps.append(2.0 / G if G else math.inf)
-    Ts, log_tail, exp, log1p = [], math.log(p / eps), math.exp, math.log1p
-    for row in log_a:  # the tail outside [0, T]^p is at most eps L: see `evaluate`
-        # log f(t0), with log hypot(e^d, 1) = (max(2d, 0) + log1p(e^{-2|d|})) / 2
-        log_f0 = -math.inf
-        for c in {0.0, *row}:
-            acc = 0.0
-            for k in row:
-                d = k - c
-                acc += (d + abs(d) + log1p(exp(-2.0 * abs(d)))) / 2
-            log_f0 = max(log_f0, m * c - p * acc)
-        T = (log_tail - log_f0) / slope if slope else math.inf
-        # grading toward min(p T, max log a_k), the largest knot below p T or
-        # p T itself, needs doubles h0 apart there; 2 (n + 1) rows p^2 T / h0
-        # then bounds every width, node and panel count of the grid
-        if not math.ulp(min(p * T, max(row))) <= h0:
+    Ss, W = [], math.log(p * n / eps) / 2
+    for row in log_a:
+        S = max(row) + W
+        # grading toward max log a_k needs doubles h0 apart there; p S / h0
+        # bounds every r_i s on the grid, S / h0 and each S / cap (G <=
+        # (p - 1) / h0), which must lie in the double range
+        if not math.ulp(max(row)) <= h0:
             raise DomainError(f"log a is too large: panels {h0:.3g} wide are not resolved")
-        if not 2 * (n + 1) * len(log_a) * p * p * T / h0 < math.inf:
-            raise DomainError(f"the least margin {slope:.3g} of lambda - (n-1)*1 is too "
-                              f"small for panels {h0:.3g} wide")
-        Ts.append(T)
-    tables = [_knots(row, p * T, caps, h0) for row, T in zip(log_a, Ts)]  # after every refusal
-    panels = len(tables) * max([len(t) + sum([e[4] + e[5] for e in t]) for t in tables])
+        if not p * S / h0 < math.inf:
+            raise DomainError(f"lambda - (n-1)*1 is too steep: panels {h0:.3g} wide "
+                              f"up to S = {S:.3g} pass the double range")
+        Ss.append(S)
+    tables = [_knots(row, S, caps, h0) for row, S in zip(log_a, Ss)]  # after every refusal
+    panels = len(tables) * max([len(t) + sum([e[3] + e[4] for e in t]) for t in tables])
     if panels > MAX_PANELS:  # rows padded to the widest: refused before any edge
         raise DomainError(f"the integral needs about {panels:.3g} panels")
     edges, counts = [], []
-    for table, T in zip(tables, Ts):  # {p T} U {knot + sign w : w a side's offsets}
-        row = [p * T]
-        for knot, sign, start, cap, j, k in table:
+    for table, S in zip(tables, Ss):  # {S} U {knot + sign w : w a side's offsets}
+        row = [S]
+        for knot, sign, cap, j, k in table:
             row.append(knot)
-            w = sign * start
-            for _ in range(j):  # w = sign start 2^i: doubling is exact
+            w = sign * h0
+            for _ in range(j):  # w = sign h0 2^i: doubling is exact
                 row.append(knot + w)
                 w += w
             if k:
@@ -211,18 +213,37 @@ def _log_estimate(log_a, lam: ExponentVector):
     for row, count in zip(edges, counts):  # padded to the widest with copies of the last edge
         if count < widest:
             row += row[-1:] * (widest - count)
-    logs, errors = _iterated(log_a, rates, edges, counts)
-    return logs, [e + eps for e in errors], Ts, [p * 30 * count for count in counts]
+    logs, errors = [], []
+    for row, S, totals in zip(log_a, Ss, _iterated(log_a, rates, edges, counts)):
+        # the terms F_j(S) e^{m_{j-1} S} / prod_{l<j} |m_l| of `evaluate` for
+        # j = p + 1, p, ..., 1 in logs, log F_j(S) the running sum of the
+        # level totals, with the gap between the rules' log F_j(S) and the
+        # sizes of the parts, each good to about eps; each term's share w of
+        # L carries both to L: L_10 / L_20 - 1 = sum w expm1(gap)
+        terms, f10, f20, f_size = [], 0.0, 0.0, 0.0
+        for j, (v10, v20) in zip(range(p, -1, -1), [(0.0, 0.0), *totals]):  # log F_{p+1} = 0
+            f10, f20, f_size = f10 + v10, f20 + v20, f_size + (1.0 + abs(v20))
+            terms.append((f20 + margins[j] * S - norms[j], f10 - f20,
+                          f_size + (abs(margins[j] * S) + sizes[j])))
+        terms.sort()  # the largest last, taken out of the log1p, which keeps the rest's digits
+        top, rule, rounding = terms[-1][0], 0.0, 0.0
+        log_L = top + math.log1p(_lsum(math.exp(t - top) for t, _, _ in terms[:-1]))
+        for t, gap, size in terms:
+            w = math.exp(t - log_L)
+            rule, rounding = rule + w * math.expm1(min(gap, 709.0)), rounding + w * size
+        logs.append(log_L)
+        errors.append(abs(rule) + 8.0 * eps * rounding + p * n * math.exp(2.0 * (max(row) - S)) / 2)
+    return logs, errors, [p * 30 * count for count in counts]
 
 
 def _knots(row, end, caps, h0):
-    """One row's grid as a table: an entry (knot, sign, start, cap, j, k) for
-    each graded side of a gap between the knots {0} U {log a_k < end}; the
-    last gap runs up to end, which grades nothing.  From its knot, toward
-    sign, a side's panels are start (h0 but past the lift knot), start,
-    2 start, ... wide up to the gap's middle (the last gap: up to end) and at
-    most the cap: j doublings, then k cap widths.  So no panel is wider than
-    its gap's cap but the one across the middle, where two sides meet: 2 cap.
+    """One row's grid as a table: an entry (knot, sign, cap, j, k) for each
+    graded side of a gap between the knots {0} U {log a_k}, all below end;
+    the last gap runs up to end, which grades nothing.  From its knot,
+    toward sign, a side's panels are h0, h0, 2 h0, ... wide up to the gap's
+    middle (the last gap: up to end) and at most the cap: j doublings, then
+    k cap widths.  So no panel is wider than its gap's cap but the one
+    across the middle, where two sides meet: 2 cap.
 
     Each g_i of `_iterated` is analytic in |Im s| < pi/2, its singularities
     lie above the knots s = log a_k, and between knots log g_i is nearly
@@ -233,49 +254,29 @@ def _knots(row, end, caps, h0):
     the inner F grow at most like e^{G s}, G = sum_{i >= 2} (lambda_i + 1 -
     #{k : log a_k < lo})_+, and caps[c], c the log a_k at or past lo, is
     2 / G: so the inner F inside a panel, which the next level reads, stay
-    good to the q = 10 collocation order.
-
-    In the last gap G still counts the log a_k at its knot as not passed.
-    Past max log a_k + w every a_k^2 / (a_k^2 + e^{2s}) is at most
-    1 / (1 + e^{2w}), so each log g_i has slope at most lambda_i + 1 - n +
-    n / (1 + e^{2w}), and caps[n + 1] = 2 / G_w, G_w = sum_{i >= 2}
-    (lambda_i + 1 - n + n / (1 + e^{2w}))_+, caps the widths there: where
-    the last gap's cap is finite, the lift knot max log a_k + w (below end)
-    splits it.  The side past it, no singularity's, starts at caps[n + 1] /
-    2^m in [c0, 2 c0), c0 = min(cap, w) (c0 if caps[n + 1] is inf), so no
-    panel there is wider than about its distance to the last knot: w =
-    _LIFT = 4 puts n / (1 + e^{2w}) below 3.4e-4 n, so a finite G_w has
-    cap < 2 / (1 - 3.4e-4 n).  None but the last is narrower than c0: the
-    split costs at most 1 + log2(cap / c0) panels over the unsplit gap, and
-    a near-divergent lambda (p T ~ 1 / margin) O(log end) panels.  A knot
-    less than sys.float_info.min above the last kept knot merges into it (no
-    gap halves to 0, 5e-324 next to 0): log g_i moves by at most 1 across
-    h0, so the dropped sliver panel would hold less than about e gap / h0 of L.
+    good to the q = 10 collocation order.  In the last gap, W wide, G still
+    counts the log a_k at its knot as not passed.  A knot less than
+    sys.float_info.min above the last kept knot merges into it (no gap
+    halves to 0, 5e-324 next to 0): log g_i moves by at most 1 across h0,
+    so the dropped sliver panel would hold less than about e gap / h0 of L.
     """
     row, knots, below, table = sorted(row), [0.0], [0], []  # below: the log a_k < a knot
     for i, k in enumerate(row):  # one pass over the sorted row (log a_k >= 0)
-        if k >= end:
-            break
         if k - knots[-1] >= sys.float_info.min:
             knots.append(k)
             below.append(i)
-    lift, n = row[-1] + _LIFT, len(row)
     for lo, hi, c in zip(knots, knots[1:] + [end], below):
-        last, cap = hi == end, caps[n - c]  # the knots lie below end
-        if last and cap < math.inf and lift < end:  # the last gap, split at the lift knot
-            far, hi, c0 = caps[n + 1], lift, min(cap, _LIFT)
-            start = math.ldexp(far, 1 - math.frexp(far / c0)[1]) if far < math.inf else c0
-            table.append((lift, 1.0, start, far, *_side(end - lift, far, start)))
+        last, cap = hi == end, caps[len(row) - c]
         j, k = _side((hi - lo) / (1 if last else 2), cap, h0)
-        table.append((lo, 1.0, h0, cap, j, k))
+        table.append((lo, 1.0, cap, j, k))
         if not last:
-            table.append((hi, -1.0, h0, cap, j, k))
+            table.append((hi, -1.0, cap, j, k))
     return table
 
 
-def _side(reach, cap, w0):
-    """j and k of a side of `_knots`, w0 its start, that reaches `reach` from its knot."""
-    return max(0, math.ceil(math.log2(min(reach, cap) / w0))), max(0, math.ceil(reach / cap) - 1)
+def _side(reach, cap, h0):
+    """j and k of a side of `_knots` that reaches `reach` from its knot."""
+    return max(0, math.ceil(math.log2(min(reach, cap) / h0))), max(0, math.ceil(reach / cap) - 1)
 
 
 def _lsum(terms):
@@ -354,28 +355,30 @@ def _panel_rule():
 
 
 def _iterated(log_a, rates, edges, counts):
-    """log L and its relative error at each row of log_a: an iterated 1-d
-    integral on the row's edges from 0 to S, counts[row] panels, then padding.
+    """The level totals at each row of log_a: an iterated 1-d integral on
+    the row's edges from 0 to S, counts[row] panels, then padding.
 
     In s_i = t_i + ... + t_p = log b_i the integrand is prod_i g_i(s_i),
     g_i(s) = e^{(lambda_i + 1) s} prod_k (a_k^2 + e^{2s})^{-1/2}, on
     S >= s_1 >= ... >= s_p >= 0: F_p(s) = int_0^s g_p,
-    F_i(s) = int_0^s g_i F_{i+1}, L = F_1(S); rates[i] = lambda_i + 1 - n is
-    the slope of log g_i beyond the last knot max log a_k.  With F_i at the
-    nodes of Gauss-Legendre panels from `_panel_rule`'s matrix, this is
-    Gauss collocation for F_i' = g_i F_{i+1}, of order 2q at panel ends;
-    the outermost level needs only the panel totals.  The error figure is
-    |I_20 - I_10| / I_20 plus the rounding of the per-level log totals; both
-    rules run on the same nodes in one pass.  The rows share one recursion
-    on a leading axis, each grid padded to the widest with copies of its
-    last edge: zero-width panels, which add exactly -inf.  No level
-    underflows, yet only panel quantities are logs: the totals and
-    F_i(right end) / F_i(S); F_i at the nodes is a fraction of F_i(right
-    end).  The node log hypot(e^d, 1) is (max(2d, 0) + log1p(e^-|2d|)) / 2,
-    e^-|2d| clamped at e^-700, below every ulp of the sum, to keep np.exp
-    off its slow subnormal path.  log L so rests on numpy's exp, log and
-    log1p, which may move it by an ulp with numpy's SIMD dispatch; log f(t0)
-    and T stay in `math`, where numpy's rounding cannot move T.
+    F_i(s) = int_0^s g_i F_{i+1}; rates[i] = lambda_i + 1 - n is the slope
+    of log g_i beyond the last knot max log a_k.  With F_i at the nodes of
+    Gauss-Legendre panels from `_panel_rule`'s matrix, this is Gauss
+    collocation for F_i' = g_i F_{i+1}, of order 2q at panel ends; the
+    outermost level needs only the panel totals.  Per row, a pair
+    [log_10, log_20] per level, innermost first: log(F_i(S) / F_{i+1}(S))
+    (log F_p(S) first) by the q = 10 and q = 20 rules, which run on the same
+    nodes in one pass; their running sums are the log F_i(S) of the tail
+    sum in `_log_estimate`.  The rows share one recursion on a leading axis,
+    each grid padded to the widest with copies of its last edge: zero-width
+    panels, which add exactly -inf.  No level underflows, yet only panel
+    quantities are logs: the totals and F_i(right end) / F_i(S); F_i at the
+    nodes is a fraction of F_i(right end).  The node log hypot(e^d, 1) is
+    (max(2d, 0) + log1p(e^-|2d|)) / 2, e^-|2d| clamped at e^-700, below
+    every ulp of the sum, to keep np.exp off its slow subnormal path.  log L
+    so rests on numpy's exp, log and log1p, which may move it by an ulp with
+    numpy's SIMD dispatch; S and the grid stay in `math`, where numpy's
+    rounding cannot move them.
     """
     import numpy as np
     edges = np.array(edges, dtype=float)
@@ -416,15 +419,7 @@ def _iterated(log_a, rates, edges, counts):
             F += np.exp(cum[:, :-1] - log_tot).take(rule2[:30], 2)
             scale = log_half + (log_tot - cum[:, -1:])  # + log(F_i(right end) / F_i(S))
             levels.append(cum[:, -1].tolist())
-    logs, errors = [], []
-    for row in zip(*levels):  # per level: [log_10, log_20]
-        log_10 = log_20 = size = 0.0  # summed left to right, as by _lsum
-        for v10, v20 in row:  # rounding: each level's log total x is good to about eps |x|
-            log_10, log_20, size = log_10 + v10, log_20 + v20, size + (1.0 + abs(v20))
-        rounding = 8.0 * sys.float_info.epsilon * size
-        logs.append(log_20)
-        errors.append(abs(math.expm1(min(log_10 - log_20, 709.0))) + rounding)
-    return logs, errors
+    return list(zip(*levels))
 
 
 def _ray_logs(ray: RaySpec, lam: ExponentVector):

@@ -441,13 +441,19 @@ def test_verify_integral_near_divergent_lambda(capsys):
 
 @pytest.mark.parametrize("k", [320, 400])
 def test_verify_integral_margin_too_small_is_refused_by_name(capsys, k):
+    # the margin -10^-320 evaluates (L ~ 10^320, a subnormal margin), and
+    # its ratio to e^{(1 - delta) mu t} lies above the double range; the
+    # margin -10^-400 floats to 0
     code, out, err = invoke(
         capsys, "verify-integral", "--p", "1", "--n", "1", "--lambda",
         f"-1/{10**k}", "--ray", "1", "--tmax", "6", "--samples", "6",
         "--delta", "0.05",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: the least margin ") and err.count("\n") == 1
+    assert err == {
+        320: "error: numerical overflow: a ratio is above the double range\n",
+        400: "error: the least margin 0 of lambda - (n-1)*1 is too small for panels 1 wide\n",
+    }[k]
 
 
 def test_verify_integral_lambda_beyond_the_double_range_is_refused_by_name(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -168,8 +169,8 @@ def near_divergent_reference(eps):
 
 @pytest.mark.parametrize("k,pinned", [(1000, 308.7481725859), (10**6, None)])
 def test_near_divergent_value_within_its_error(k, pinned):
-    # margin -1/k: the mass reaches s_1 ~ 10 k and T ~ 2.3e4 k, yet the
-    # graded panels stay few
+    # margin -1/k: the mass reaches s_1 ~ 10 k, yet the grid ends at
+    # S = log 2 + W and the closed-form tail carries the rest
     ref = near_divergent_reference(1.0 / k)
     assert pinned is None or ref == pytest.approx(pinned, rel=1e-12)
     est = evaluate([2.0], ev(F(-1, k), -2))
@@ -179,9 +180,9 @@ def test_near_divergent_value_within_its_error(k, pinned):
 
 def test_grid_too_large_is_refused_before_it_is_built():
     # lambda_2 + 1 - n > 0 makes the inner F grow, which caps the panel
-    # width, while the margin -10^-6 stretches the grid to s ~ 5e7
-    with pytest.raises(DomainError, match="panels"):
-        evaluate([2.0], ev(-1, F(999_999, 10**6)))
+    # width at 2 / 3 from 0 up to log a_1 + W, about 1e5 away
+    with pytest.raises(DomainError, match=r"^the integral needs about 1.5e\+05 panels$"):
+        twisted._log_estimate([[1e5, 5e4]], ev(-1, 2))
 
 
 def test_evaluate_rejects_divergent():
@@ -196,8 +197,8 @@ def test_evaluate_rejects_divergent():
 
 def test_truncation_soundness():
     est = evaluate([1.5], ev(-2))
-    # re-evaluating with a larger domain cannot move the value past abs_error;
-    # probe by integrating the b-space integrand far beyond est.truncation_T
+    # integrating the b-space integrand to infinity cannot move the value
+    # past abs_error
     far, far_err = quad(
         lambda b: (1.5**2 + b * b) ** -0.5 * b**-2.0, 1.0, np.inf
     )
@@ -285,9 +286,9 @@ ERROR_FIGURE_CASES = {
     "a,lam", ERROR_FIGURE_CASES.values(), ids=ERROR_FIGURE_CASES.keys()
 )
 def test_error_figure_within_tolerance(a, lam):
-    # the tail part of abs_error is one epsilon of L by the choice of T
-    # (see `evaluate`); the rule's part is the gap between two
-    # Gauss-Legendre orders
+    # the tail part of abs_error is eps / 2 of L by the choice of W, and
+    # a rounding term per summand of the tail sum (see `evaluate`); the
+    # rule's part is the gap between two Gauss-Legendre orders
     est = evaluate(a, ev(*lam))
     assert 0.0 < est.value
     assert est.abs_error <= 1e-12 * est.value
@@ -313,9 +314,18 @@ def test_equal_lambda_values_match_mpmath(p, n, log_a, lam):
     assert err <= 1e-13 * ref and err <= est.abs_error
 
 
-def test_tail_beyond_T_is_at_most_one_epsilon():
-    # the tail bound sum_j e^{m_j T} / prod |m_j| that T is chosen to keep
-    # at or below eps L, recomputed from T and log L
+def test_grid_run_on_past_S_moves_log_L_by_at_most_its_bound(monkeypatch):
+    # past S = max log a_k + W the tail is taken in closed form with h = 1,
+    # which moves L by at most p n e^{-2W} / 2 = eps / 2.  The same rows with
+    # the grid run on to S + 10 (W is log(p n / eps) / 2, so eps e^-20 puts
+    # it 10 further) move log L by no more than that bound plus the
+    # rounding term: the error figure with the 10-point rule's levels
+    # replaced by the 20-point ones, which zeroes the rule's part
+    iterated = twisted._iterated
+    monkeypatch.setattr(twisted, "_iterated", lambda *args: [
+        [(v20, v20) for _, v20 in row] for row in iterated(*args)])
+    far = types.SimpleNamespace(float_info=types.SimpleNamespace(
+        epsilon=sys.float_info.epsilon * math.exp(-20), min=sys.float_info.min))
     rng = random.Random(22)
     checked = 0
     while checked < 1000:
@@ -325,11 +335,12 @@ def test_tail_beyond_T_is_at_most_one_epsilon():
         if max(margins) >= 0:
             continue
         log_a = [[rng.uniform(0.0, 6.0) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        logs, _, Ts, _ = twisted._log_estimate(log_a, ExponentVector(lam))
-        norm = math.prod(abs(m) for m in margins)
-        for v, T in zip(logs, Ts):
-            tail = sum(math.exp(m * T - v) for m in margins) / norm
-            assert tail <= sys.float_info.epsilon * (1 + 1e-6)
+        logs, bounds, _ = twisted._log_estimate(log_a, ExponentVector(lam))
+        with monkeypatch.context() as m:
+            m.setattr(twisted, "sys", far)
+            far_logs, _, _ = twisted._log_estimate(log_a, ExponentVector(lam))
+        for v, bound, far_v in zip(logs, bounds, far_logs):
+            assert abs(v - far_v) <= bound
         checked += 1
 
 
@@ -418,8 +429,8 @@ def test_fit_decay_past_the_double_range_of_a(direction, ts, slope):
 
 
 def test_ray_pass_equals_the_one_point_path():
-    # a ray runs all its points through one padded recursion; each log L,
-    # T and node count must be bit for bit the one-point value at the same
+    # a ray runs all its points through one padded recursion; each log L
+    # and node count must be bit for bit the one-point value at the same
     # log a
     rng = random.Random(2026)
     for _ in range(100):
@@ -434,11 +445,11 @@ def test_ray_pass_equals_the_one_point_path():
         ts = sorted(rng.sample(range(1, 1000), rng.randint(3, 11)))
         ray = RaySpec(direction, [t_max * t / 999 for t in ts])
         log_a = [[t * s for s in ray.direction] for t in ray.t_values]
-        logs, _, Ts, nodes = twisted._log_estimate(log_a, lam)
+        logs, _, nodes = twisted._log_estimate(log_a, lam)
         assert twisted._ray_logs(ray, lam)[1] == logs
-        for row, log_value, T, count in zip(log_a, logs, Ts, nodes):
-            [one], _, [one_T], [one_count] = twisted._log_estimate([row], lam)
-            assert (one, one_T.hex(), one_count) == (log_value, T.hex(), count)
+        for row, log_value, count in zip(log_a, logs, nodes):
+            [one], _, [one_count] = twisted._log_estimate([row], lam)
+            assert (one, one_count) == (log_value, count)
 
 
 def _panels_needed(call):
@@ -467,7 +478,7 @@ def test_grid_limit_counts_the_whole_ray(monkeypatch):
 
 def test_more_points_than_panels_are_refused_before_any_row(monkeypatch):
     # every point needs a panel at least, so such a ray is refused before
-    # log f(t0) or a grid is worked out for any of its points: the row
+    # S or a grid is worked out for any of its points: the row
     # loops run in `math`, which here fails on any use.  `check_gr2`
     # evaluates every point (`fit_decay` only the last four)
     def unreachable(*args):
@@ -550,35 +561,23 @@ def test_fit_decay_counts_only_its_tail_against_max_panels(monkeypatch):
 
 def test_grid_rules_hold_on_every_row(monkeypatch):
     # each row's table from `_knots` against the edges the recursion gets:
-    # they run from 0 to p T through every knot below it; the table counts
-    # at least the panels built, so MAX_PANELS never undercounts; the first
-    # panel from a graded knot is min(h0, cap) wide where its side reaches
-    # that far; and no panel is wider than its gap's cap 2 / G, but for the
-    # one across the middle of a gap between two knots: at most twice that.
-    # Wherever the last gap's cap is finite and the lift knot max log a_k + w
-    # lies below p T, that gap is graded up to the lift knot, an edge, and
-    # one side runs on to p T: its first panel is min(start, reach) wide,
-    # start in [c0, 2 c0), c0 = min(cap, w), doubling onto 2 / G_w (every c
-    # taken as n / (1 + e^{2w})); every later panel but the one ending at p T
-    # is at least c0 wide and at most as wide as its offset from the lift
-    # knot, and every panel there is at most 2 / G_w wide.  So the table
-    # counts at most one panel more than without the lift knot, and
-    # log2(cap / w) more where the cap is above w
+    # they run from 0 to S = max log a_k + W through every knot; the table
+    # counts at least the panels built, so MAX_PANELS never undercounts; the
+    # first panel from a graded knot is min(h0, cap) wide where its side
+    # reaches that far; and no panel is wider than its gap's cap 2 / G, but
+    # for the one across the middle of a gap between two knots: at most
+    # twice that
     tables, grids = [], []
-    seen = dict.fromkeys(("rows", "cap", "past", "near", "mid", "lift", "lift_cap",
-                          "lift_wide"), 0)
-    knots, limit, lift = twisted._knots, twisted.MAX_PANELS, twisted._LIFT
+    seen = dict.fromkeys(("rows", "cap", "near", "mid"), 0)
+    knots, limit = twisted._knots, twisted.MAX_PANELS
 
-    def table(row, end, caps, h0):  # and the table without the lift knot
-        monkeypatch.setattr(twisted, "_LIFT", math.inf)
-        plain = knots(row, end, caps, h0)
-        monkeypatch.setattr(twisted, "_LIFT", lift)
-        tables.append((row, end, h0, plain, knots(row, end, caps, h0)))
+    def table(row, end, caps, h0):
+        tables.append((row, end, h0, knots(row, end, caps, h0)))
         return tables[-1][-1]
 
     def recursion(log_a, rates, edges, counts):  # the grid only
         grids.extend(zip(edges, counts))
-        return [0.0] * len(edges), [0.0] * len(edges)
+        return [[(0.0, 0.0)] * len(rates)] * len(edges)
 
     def cap_of(c):  # 2 / G, G = sum_{i >= 2} (lambda_i + 1 - n + c)_+
         G = 0.0
@@ -597,7 +596,7 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
             rates[0] = -F(1, 10 ** rng.randint(1, 4))
         if p > 1 and rng.random() < 0.4:  # lambda_i + 1 - c > 0 for some c
             rates[rng.randrange(1, p)] = F(rng.randint(-2 * n, 2), 2) + F(1, 3)
-        if p > 1 and rng.random() < 0.2:  # just above -c: a cap far above w
+        if p > 1 and rng.random() < 0.2:  # just above -c: a cap far above 4
             rates[rng.randrange(1, p)] = F(1, 10 ** rng.randint(1, 4)) - rng.randint(1, n)
         top = max(itertools.accumulate(rates))
         if top >= 0:  # convergent again, with the least margin -1/7
@@ -613,27 +612,22 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
         except DomainError as exc:
             assert "panels" in str(exc)
             continue
-        for (row, end, h0, plain, entries), (edges, count) in zip(tables, grids):
+        for (row, end, h0, entries), (edges, count) in zip(tables, grids):
             edges = edges[:count + 1]
-            ends = sorted(k for k in {0.0, *row} if k < end)
+            assert end == max(row) + math.log(p * n / sys.float_info.epsilon) / 2
+            ends = sorted({0.0, *row})
             caps = [cap_of(n - sum(k < lo for k in row)) for lo in ends]
-            lift_at = max(row) + lift  # the lift knot
-            lifted = caps[-1] < math.inf and lift_at < end
-            assert (entries != plain) == lifted
             ends.append(end)
             assert edges[0] == 0.0 and edges[-1] == end
             assert all(u < v for u, v in zip(edges, edges[1:]))
             assert set(ends) <= set(edges)
             assert sum(1 + j + k for *_, j, k in entries) >= count
-            sides = {(knot, sign): (start, cap) for knot, sign, start, cap, *_ in entries}
+            sides = {(knot, sign): cap for knot, sign, cap, *_ in entries}
             seen["rows"] += 1
-            seen["past"] += max(row) >= end
             seen["near"] += near
             for lo, hi, cap in zip(ends, ends[1:], caps):
                 last = hi == end
-                if last and lifted:  # graded up to the lift knot only
-                    hi = lift_at
-                assert sides[lo, 1.0] == (h0, cap) and (last or sides[hi, -1.0] == (h0, cap))
+                assert sides[lo, 1.0] == cap and (last or sides[hi, -1.0] == cap)
                 seen["cap"] += cap < math.inf
                 reach, tol = (hi - lo) / (1 if last else 2), 4 * math.ulp(hi)
                 inside = [e for e in edges if lo <= e <= hi]
@@ -644,24 +638,6 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
                     middle = not last and u <= lo + reach <= v
                     assert v - u <= (2 if middle else 1) * cap + tol
                     seen["mid"] += middle and v - u > cap + tol
-            if lifted:
-                cap, far, tol = caps[-1], cap_of(n / (1.0 + math.exp(2 * lift))), 4 * math.ulp(end)
-                extra = max(0, math.ceil(math.log2(cap / lift)))
-                assert sum(1 + j + k for *_, j, k in entries) <= \
-                    sum(1 + j + k for *_, j, k in plain) + 1 + extra
-                assert lift_at in edges
-                c0 = min(cap, lift)
-                start, got = sides[lift_at, 1.0]
-                assert got == far and c0 * (1 - 1e-15) <= start < 2 * c0
-                assert start == c0 if far == math.inf else math.frexp(far / start)[0] == 0.5
-                past = [e for e in edges if e >= lift_at]
-                assert abs(past[1] - lift_at - min(start, end - lift_at)) <= tol
-                for u, v in zip(past[1:-2], past[2:-1]):  # all but the first and the last
-                    assert c0 - tol <= v - u <= u - lift_at + tol
-                assert all(v - u <= far + tol for u, v in zip(past, past[1:]))
-                seen["lift"] += 1
-                seen["lift_cap"] += far < math.inf
-                seen["lift_wide"] += cap > 2 * lift
         # the limit counts the rows times the widest table, padding included
         need = len(rows) * max(sum(1 + j + k for *_, j, k in t[-1]) for t in tables)
         monkeypatch.setattr(twisted, "MAX_PANELS", need - 1)
@@ -673,9 +649,8 @@ def test_grid_rules_hold_on_every_row(monkeypatch):
 
 def _grid_inputs(seed, count):
     # the strata of test_grid_rules_hold_on_every_row: near-divergent first
-    # margins, inner rates that give finite caps and caps far above the lift
-    # offset (and so lifted rows), 1-4 rows of zero, repeated, subnormal,
-    # moderate and large log a
+    # margins, inner rates that give finite caps and caps far above 4, 1-4
+    # rows of zero, repeated, subnormal, moderate and large log a
     rng = random.Random(seed)
     for _ in range(count):
         p, n = rng.randint(1, 4), rng.randint(1, 3)
@@ -700,28 +675,28 @@ def _grid_inputs(seed, count):
 
 
 def test_grid_is_pinned_bit_for_bit(monkeypatch):
-    # everything `_log_estimate` hands the recursion (rates, the padded edges
-    # and the panel counts), T and the node counts, or the refusal, over 300
-    # seeded inputs, as float.hex: the grid is built in `math` alone, so its
-    # sha256 cannot move with numpy's SIMD dispatch
+    # everything `_log_estimate` hands the recursion (rates, the padded edges,
+    # which end at S, and the panel counts) and the node counts, or the
+    # refusal, over 300 seeded inputs, as float.hex: the grid is built in
+    # `math` alone, so its sha256 cannot move with numpy's SIMD dispatch
     lines = []
 
     def recursion(log_a, rates, edges, counts):
         lines.append(" ".join(map(float.hex, rates)))
         lines.extend(" ".join(map(float.hex, row)) for row in edges)
         lines.append(" ".join(map(str, counts)))
-        return [0.0] * len(edges), [0.0] * len(edges)
+        return [[(0.0, 0.0)] * len(rates)] * len(edges)
 
     monkeypatch.setattr(twisted, "_iterated", recursion)
     for rows, lam in _grid_inputs(31, 300):
         try:
-            _, _, Ts, nodes = twisted._log_estimate(rows, lam)
+            _, _, nodes = twisted._log_estimate(rows, lam)
         except DomainError as exc:
             lines.append(str(exc))
             continue
-        lines.append(" ".join(map(float.hex, Ts)) + " " + " ".join(map(str, nodes)))
+        lines.append(" ".join(map(str, nodes)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "1c5e951227383d92f0be989d28f0673ed681a6feae7cb30475c249b35e647543", digest
+    assert digest == "86342d34fe4e44222887d0c2ce4e4eaacd327305c1e7bd6f22a35f6123b15a40", digest
 
 
 class _CountingNumpy:
@@ -764,69 +739,69 @@ def test_evaluate_makes_a_pinned_number_of_numpy_calls(monkeypatch, a, lam, boun
     assert sum(counts.values()) <= bound, counts
 
 
-# log L, T and the node count of `_log_estimate` since T puts the tail at
-# one epsilon of L, as float.hex (each log L that this moved, all at p = 1,
-# moved toward a 40-digit mpmath value): p = 1-5, n = 1-3, repeated and zero
-# log a_k, a knot beyond S (30 > S = 22.0), t s > 709, the near-divergent
+# log L of `_log_estimate`, where each row's grid ends (Ts: S = max log a_k
+# + W, where it once ended at p T) and the node count, as float.hex: p = 1-5,
+# n = 1-3, repeated and zero log a_k, t s > 709, the near-divergent
 # lambda = (-10^-6, -2), and (1 - 10^-6, -1/2) at n = 2, whose first gaps
-# cap the panel width (G > 0).  T and the node count come from `math` and
-# the grid alone, so they match bit for bit.  log L also passes through
-# BLAS, whose kernels (chosen per CPU) round the panel sums up to 2 ulps
-# apart; it must match to 8 ulps.
+# cap the panel width (G > 0).  Each log L lies within 3 ulps of its value
+# when the grid ran to p T.  S and the node count come from `math` and the
+# grid alone, so they match bit for bit.  log L also passes through BLAS,
+# whose kernels (chosen per CPU) round the panel sums up to 2 ulps apart;
+# it must match to 8 ulps.
 _L = math.log
 PINNED_LOG_ESTIMATES = [
     ([[3.0]], ["-1/2"],
-     ["-0x1.4548916ce103fp-2"], ["0x1.2f1f2f5294386p+6"], [330]),
+     ["-0x1.4548916ce103fp-2"], ["0x1.505966f2b4f12p+4"], [270]),
     ([[2.0, 0.5]], ["0"],
-     ["-0x1.269e930ca2e1fp+0"], ["0x1.3350f0348c411p+5"], [270]),
+     ["-0x1.269e930ca2e1fp+0"], ["0x1.45e4f7b2737fap+4"], [240]),
     ([[1.0, 1.0, 1.0]], ["1"],
-     ["-0x1.103f2d54301d7p+0"], ["0x1.30aac01252c6ep+5"], [270]),
+     ["-0x1.103f2d54301d7p+0"], ["0x1.39235c300b72bp+4"], [240]),
     ([[800.0], [1200.0]], ["-1/2"],
      ["-0x1.8eb080ea06e0fp+8", "-0x1.2b58407503708p+9"],
-     ["0x1.b463e5ea52870p+9", "0x1.3e31f2f529438p+10"], [810, 870]),
+     ["0x1.9902cb3795a79p+9", "0x1.3081659bcad3cp+10"], [750, 810]),
     ([[30.0]], ["-3"],
-     ["-0x1.eb17217f7d1d0p+4"], ["0x1.603b99f7234b7p+4"], [240]),
+     ["-0x1.eb17217f7d1d0p+4"], ["0x1.802cb3795a789p+5"], [600]),
     ([[_L(2.0)]], ["-1/1000000", "-2"],
-     ["0x1.94844e6f47d43p+3"], ["0x1.248eff3db5d1fp+25"], [1800]),
+     ["0x1.94844e6f47d43p+3"], ["0x1.30fc1931f09c9p+4"], [480]),
     ([[2.5]], ["-1", "-2"],
-     ["-0x1.0d60775012626p+2"], ["0x1.4df2b87944a27p+5"], [840]),
+     ["-0x1.0d60775012626p+2"], ["0x1.4de4f7b2737fap+4"], [720]),
     ([[3.0, 3.0]], ["-1", "-2"],
-     ["-0x1.694d02ff816a8p+3"], ["0x1.85ef1ba41eba0p+4"], [960]),
+     ["-0x1.694d02ff816a8p+3"], ["0x1.5b708872320e2p+4"], [840]),
     ([[4.0, 0.0]], ["-1", "-1"],
-     ["-0x1.1f96b9d04608ap+3"], ["0x1.6b71384bad466p+4"], [780]),
+     ["-0x1.1f96b9d04608ap+3"], ["0x1.6b708872320e2p+4"], [720]),
     ([[400.0, 400.0], [800.0, 800.0]], ["-1", "-2"],
      ["-0x1.8e80b4db2c5d0p+10", "-0x1.8f2a21e839d25p+11"],
-     ["0x1.992f27bd939c0p+9", "0x1.949793dec9ce0p+10"], [2040, 2220]),
+     ["0x1.a2b708872320ep+8", "0x1.995b844391907p+9"], [1680, 1800]),
     ([[5.0, 2.0, 0.0]], ["0", "-1"],
-     ["-0x1.b60a6dd92067cp+3"], ["0x1.9b95cc099f022p+4"], [1260]),
+     ["-0x1.b60a6dd92067cp+3"], ["0x1.7eaeecefca012p+4"], [1140]),
     ([[3.0, 1.0]], ["999999/1000000", "-1/2"],
-     ["0x1.5e8f8b5df6e98p+3"], ["0x1.4009e256cdc75p+25"], [1980]),
+     ["0x1.5e8f8b5df6e98p+3"], ["0x1.5b708872320e2p+4"], [660]),
     ([[_L(3.0)]], ["-2", "-2", "-3"],
-     ["-0x1.925c26f7211e8p+2"], ["0x1.44c4e6c99b725p+4"], [1080]),
+     ["-0x1.925c26f7211e8p+2"], ["0x1.3ab746aab875cp+4"], [900]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3"],
-     ["-0x1.3261558cada4ep+3"], ["0x1.4fc3bf23efc68p+3"], [990]),
+     ["-0x1.3261558cada4ep+3"], ["0x1.39c60e6f471e1p+4"], [990]),
     ([[_L(3.0), _L(2.0), _L(1.5)]], ["-2", "-2", "-3"],
-     ["-0x1.7878895e6080fp+3"], ["0x1.6639ec451c434p+3"], [1440]),
+     ["-0x1.7878895e6080fp+3"], ["0x1.43813be80ef74p+4"], [1350]),
     ([[1.0, 1.0]], ["-1", "-1/2", "-1/2"],
-     ["-0x1.c0954adbc1eb0p+2"], ["0x1.5c2f34afd4783p+4"], [990]),
+     ["-0x1.c0954adbc1eb0p+2"], ["0x1.3eaeecefca012p+4"], [1170]),
     ([[_L(2.0), _L(2.0)]], ["-3", "-3", "-3", "-3"],
-     ["-0x1.b1c19abd6a8fcp+3"], ["0x1.5ef10c620d288p+3"], [1440]),
+     ["-0x1.b1c19abd6a8fcp+3"], ["0x1.3c133ab16db99p+4"], [1320]),
     ([[2.0, 2.0, 0.0]], ["0", "0", "-1", "-1"],
-     ["-0x1.1ea7b89c041e9p+4"], ["0x1.b71c591a09c8cp+4"], [1800]),
+     ["-0x1.1ea7b89c041e9p+4"], ["0x1.543a7daf888fap+4"], [1440]),
     ([[2.5]], ["-2", "-5/2", "-2", "-3", "-2"],
-     ["-0x1.28d986dd2b878p+4"], ["0x1.915be9dfb68edp+4"], [2250]),
+     ["-0x1.28d986dd2b878p+4"], ["0x1.553987eeabb7cp+4"], [1800]),
     ([[_L(2.5), _L(1.5)]], ["-5/2"] * 5,
-     ["-0x1.0c53b5676416ap+4"], ["0x1.a07a40f9f8012p+3"], [1650]),
+     ["-0x1.0c53b5676416ap+4"], ["0x1.416e3926dab68p+4"], [1500]),
     # non-dyadic and large-denominator lambda
     ([[2.0]], ["-1/3", "-2/7"],
-     ["0x1.8bbac8d12d2e0p-1"], ["0x1.d0043a622682ep+6"], [780]),
+     ["0x1.8bbac8d12d2e0p-1"], ["0x1.45e4f7b2737fap+4"], [600]),
     ([[_L(3.0)]], ["-1/1000000", "-5/3"],
-     ["0x1.94382ece5c588p+3"], ["0x1.29d8ccd4d2688p+25"], [1740]),
+     ["0x1.94382ece5c588p+3"], ["0x1.3778e22d2082bp+4"], [420]),
     ([[1.5, 0.25]], ["5/7", "-13/11"],
-     ["-0x1.319eb2c0402d8p+0"], ["0x1.1c614a93cc81ep+7"], [900]),
+     ["-0x1.319eb2c0402d8p+0"], ["0x1.43708872320e2p+4"], [660]),
     ([[_L(2.0), 0.0], [40.0, 20.0]], ["-1/3", "-2/7", "-1000001/1000000"],
      ["-0x1.196c1c8a47387p+2", "-0x1.267d7b702e81ap+7"],
-     ["0x1.e7275a2e692b8p+4", "0x1.1dd82d1ad30bap+7"], [900, 3330]),
+     ["0x1.39c60e6f471e1p+4", "0x1.d7577677e5009p+5"], [720, 2970]),
     # the benchmark's ray shapes: 11 points of s = 1 at t = 1, 1.5, ..., 6
     # (p = 1), and 7 points along (1, 0) with two knots, one at 0 (p = 2)
     ([[1.0 + 0.5 * i] for i in range(11)], ["-3/2"],
@@ -834,26 +809,33 @@ PINNED_LOG_ESTIMATES = [
       "-0x1.0aad31164ea93p+1", "-0x1.420852948735cp+1", "-0x1.7ba3ad4476f4dp+1",
       "-0x1.b6db67fa7ddb2p+1", "-0x1.f33f3b15c451dp+1", "-0x1.18404d112ac31p+2",
       "-0x1.3733ba9c12496p+2", "-0x1.566589e50f51fp+2"],
-     ["0x1.8bcf2b271ded7p+4", "0x1.90b98a70e6a27p+4", "0x1.95e5511fab067p+4",
-      "0x1.9b2b09c82758cp+4", "0x1.a07a953ed4ff9p+4", "0x1.a5cdc7d83f2d8p+4",
-      "0x1.ab2253d498bc5p+4", "0x1.b0775f101de43p+4", "0x1.b5cc9921d5749p+4",
-      "0x1.bb21e46f5f70dp+4", "0x1.c07736140c827p+4"],
-     [240, 300, 300, 300, 360, 360, 360, 360, 360, 420, 420]),
+     ["0x1.305966f2b4f12p+4", "0x1.385966f2b4f12p+4", "0x1.405966f2b4f12p+4",
+      "0x1.485966f2b4f12p+4", "0x1.505966f2b4f12p+4", "0x1.585966f2b4f12p+4",
+      "0x1.605966f2b4f12p+4", "0x1.685966f2b4f12p+4", "0x1.705966f2b4f12p+4",
+      "0x1.785966f2b4f12p+4", "0x1.805966f2b4f12p+4"],
+     [210, 270, 270, 270, 330, 330, 330, 330, 330, 390, 390]),
     ([[1.0 + 0.5 * i, 0.0] for i in range(7)], ["-1", "-2"],
      ["-0x1.043209e88d79ep+2", "-0x1.33405ccf1fee6p+2", "-0x1.68f3c5f804c40p+2",
       "-0x1.a2cbb3dc1a4f6p+2", "-0x1.df20f06f7f27fp+2", "-0x1.0e78550aa1ec6p+3",
       "-0x1.2dd0867c6d20ap+3"],
-     ["0x1.3c747b47750ffp+4", "0x1.43d40a36221f8p+4", "0x1.4b95b43c48b58p+4",
-      "0x1.537e49390330fp+4", "0x1.5b759a6b07ab4p+4", "0x1.6372665126f02p+4",
-      "0x1.6b71384bad466p+4"],
-     [660, 780, 780, 780, 900, 900, 900]),
+     ["0x1.3b708872320e2p+4", "0x1.43708872320e2p+4", "0x1.4b708872320e2p+4",
+      "0x1.53708872320e2p+4", "0x1.5b708872320e2p+4", "0x1.63708872320e2p+4",
+      "0x1.6b708872320e2p+4"],
+     [600, 720, 720, 720, 840, 840, 840]),
 ]
 
 
 @pytest.mark.parametrize("log_a,lam,logs,Ts,nodes", PINNED_LOG_ESTIMATES)
-def test_log_estimate_matches_its_pinned_values(log_a, lam, logs, Ts, nodes):
-    got_logs, _, got_Ts, got_nodes = twisted._log_estimate(log_a, ExponentVector(lam))
-    assert [T.hex() for T in got_Ts] == Ts and got_nodes == nodes
+def test_log_estimate_matches_its_pinned_values(monkeypatch, log_a, lam, logs, Ts, nodes):
+    ends, iterated = [], twisted._iterated
+
+    def recursion(log_a, rates, edges, counts):  # each row's last edge, padding included
+        ends.extend(row[-1] for row in edges)
+        return iterated(log_a, rates, edges, counts)
+
+    monkeypatch.setattr(twisted, "_iterated", recursion)
+    got_logs, _, got_nodes = twisted._log_estimate(log_a, ExponentVector(lam))
+    assert [S.hex() for S in ends] == Ts and got_nodes == nodes
     for got, pinned in zip(got_logs, map(float.fromhex, logs)):
         assert abs(got - pinned) <= 8 * math.ulp(pinned)
 
@@ -878,8 +860,9 @@ def test_margin_of_exactly_zero_diverges(lam, n):
 @pytest.mark.parametrize("k", [15, 30, 100, 300])
 def test_near_divergent_lambda_evaluates(a, k):
     # p = n = 1, lambda = -10^-k: L = 1/|lambda| + log(2/a) - asinh(1/a) up
-    # to O(|lambda|); the grid reaches p T ~ 36 10^k, yet its knots, 0 and
-    # log a, are resolved
+    # to O(|lambda|); L is almost all closed-form tail past S = log a + W,
+    # whose log terms of about k log 10 round by an ulp or so: the rounding
+    # term per summand covers that
     est = evaluate([a], ExponentVector([F(-1, 10**k)]))
     ref = 10.0**k + (math.log(2.0 / a) - math.asinh(1.0 / a))
     assert abs(est.value - ref) <= est.abs_error
@@ -918,9 +901,9 @@ NEAR_DIVERGENT = {
 @pytest.mark.parametrize("k", range(1, 7))
 @pytest.mark.parametrize("p,n,a", NEAR_DIVERGENT)
 def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
-    # p T grows like 10^k, yet past the lift knot log a + 4 the cap 2 / G_w
-    # is infinite: a few thousand nodes, where the cap 2 / G over the whole
-    # last gap took 1.2 million at k = 3 and was refused from k = 4 on
+    # the grid ends at S = log a + W whatever k: where it ran to p T ~ 10^k
+    # under the cap 2 / G it took 1.2 million nodes at k = 3 and was refused
+    # from k = 4 on
     inner = [F(-1, 2)] if p == 2 else [F(-1, 4), F(-1, 2)]
     lam = ev(*[x + n - 1 for x in [F(-1, 10**k)] + inner])
     ref = float.fromhex(NEAR_DIVERGENT[p, n, a][k - 1])
@@ -930,10 +913,36 @@ def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
     assert est.node_count < 4000
 
 
+# L at n = 1, lambda = (-10^-k, -2/3, 1/3), k = 2..6, as float.hex, keyed by
+# a: near-divergent, with the inner rate 1/3 > 0, whose F_3 grows and caps
+# the panel widths.  Printed by `python tools/references.py --table
+# POSITIVE_INNER_RATE`: the NEAR_DIVERGENT scheme in mpmath at 40 digits
+# and order 30, which gives NEAR_DIVERGENT's 48 rows to 1 ulp
+POSITIVE_INNER_RATE = {
+    1: ["0x1.91bd5b4e03b1ap+8", "0x1.05c7a471eecc4p+12", "0x1.489bc690caa89p+15",
+        "0x1.9aef272d0d2cdp+18", "0x1.00d83fab9d8e8p+22"],
+    20: ["0x1.7332f2a7ce30dp+7", "0x1.ed82c5ae02e79p+10", "0x1.365e1ec232a48p+14",
+         "0x1.843375c364bfep+17", "0x1.e5480df5344f7p+20"],
+}
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("a", POSITIVE_INNER_RATE)
+def test_near_divergent_lambda_with_a_positive_inner_rate_matches_mpmath(a, k):
+    # the grid ends at S = log a + W whatever k: where it ran to p T ~ 10^k
+    # under the cap 2 / G = 6/5 of the last gap it took 1.7 million nodes at
+    # k = 3, a figure of 1.4e-10, and was refused from k = 4 on
+    est = evaluate([float(a)], ev(F(-1, 10**k), F(-2, 3), F(1, 3)))
+    ref = float.fromhex(POSITIVE_INNER_RATE[a][k - 2])
+    err = abs(est.value - ref)
+    assert err <= 1e-13 * ref and err <= est.abs_error
+    assert est.node_count <= 2000
+
+
 # L at p = 2, lambda - (n - 1) = (r_1, r_2) with r_2 just above -n and a =
 # (a, ..., a), as float.hex, keyed by (n, a, r_1, r_2): the last gap's cap
-# 2 / (r_2 + n) is 200, 2000 or 100, far above the lift offset w = 4, and
-# 2 / G_w is infinite; the last row's cap is 4.  By mpmath at 40 digits, in
+# 2 / (r_2 + n) is 200, 2000 or 100, far above 4 (the offset of a lift
+# knot the grid once had); the last row's cap is 4.  By mpmath at 40 digits, in
 # s = log b, as L = F_2(inf) int g_1 - int g_2(t) G_1(t) dt, G_1(t) =
 # int_0^t g_1, with int_0^t e^{r_1 s} h = (1 - e^{r_1 t}) / |r_1| +
 # int_0^t e^{r_1 s} (h - 1), h = (1 + a^2 e^{-2s})^{-n/2}, each by
@@ -950,9 +959,9 @@ WIDE_CAP = {
 
 @pytest.mark.parametrize("n,a,r1,r2", WIDE_CAP)
 def test_a_cap_far_above_the_lift_offset_matches_mpmath(n, a, r1, r2):
-    # past the lift knot g_2 still falls like e^{r_2 s}: a first panel as
-    # wide as the cap (200 at the first row) left L wrong by 1e-5, with an
-    # error figure of 3e-3; starting at min(cap, w) keeps it within 1e-13
+    # in the last gap g_2 still falls like e^{r_2 s}: a first panel there as
+    # wide as the cap (200 at the first row) once left L wrong by 1e-5, with
+    # an error figure of 3e-3; grading from h0 keeps it within 1e-13
     est = evaluate([float(a)] * n, ev(r1 + n - 1, r2 + n - 1))
     ref = float.fromhex(WIDE_CAP[n, a, r1, r2])
     err = abs(est.value - ref)
@@ -960,18 +969,55 @@ def test_a_cap_far_above_the_lift_offset_matches_mpmath(n, a, r1, r2):
     assert est.node_count < 2000
 
 
+# log L in closed form of the small-margin rows below that evaluate, keyed by
+# lambda: L = 1 / |margin| + O(1) at p = 1 (at n = 2 and a = 1 too),
+# L = L_1^p / p! at equal lambda, and where h0 = 1e-300, F_2(inf) L_1 with
+# F_2(inf) = 10^-300 / sqrt(2) and L_1 = 10^7 + log 2 - asinh(1), each good
+# to 1e-15 or better
+_TINY_H0 = [F(-1, 10**7), -(10**300)]  # h0 = 1e-300
+SMALL_MARGIN_LOGS = {
+    (F(-1, 10**320),): math.log(10**320),
+    (F(-4, 10**307),): math.log(10**307) - math.log(4),
+    (1 - F(3, 10**307),): math.log(10**307) - math.log(3),
+    tuple(_TINY_H0): math.log(10**7 + math.log(2) - math.asinh(1)) - math.log(10**300)
+    - math.log(2) / 2,
+    (F(-1, 10**306),) * 4: 4 * math.log(10**306) - math.log(24),
+    (F(-2, 10**306),) * 2: 2 * (math.log(10**306) - math.log(2)) - math.log(2),
+}
+
+
 @pytest.mark.parametrize("rows,lam", [
-    ([[0.0]], [F(-1, 10**320)]),  # T = inf
+    ([[0.0]], [F(-1, 10**320)]),  # a subnormal margin
     ([[0.0]], [F(-1, 10**400)]),  # the margin floats to 0
-    ([[0.0]], [F(-4, 10**307)]),  # 2 p T past the double range
-    ([[0.0, 0.0]], [1 - F(3, 10**307)]),  # p T / h0 past it, h0 = 1/2
-    ([[0.0]], [F(-1, 10**7), -(10**300)]),  # h0 = 1e-300
-    ([[0.0]], [F(-1, 10**306)] * 4),  # p T / cap past it
-    ([[0.0]] * 11, [F(-2, 10**306)] * 2),  # the panel count past it
+    ([[0.0]], [F(-4, 10**307)]),
+    ([[0.0, 0.0]], [1 - F(3, 10**307)]),  # h0 = 1/2
+    ([[0.0]], _TINY_H0),
+    ([[0.0]], [F(-1, 10**306)] * 4),
+    ([[0.0]] * 11, [F(-2, 10**306)] * 2),
 ])
 def test_margin_too_small_for_the_grid_is_refused_by_name(rows, lam):
-    with pytest.raises(DomainError, match=r"^the least margin .* is too small"):
-        twisted._log_estimate(rows, ExponentVector(lam))
+    # while the grid ran to p T ~ 36 / margin, all seven were refused; with
+    # the closed-form tail past S only the margin that floats to 0, whose
+    # float form of the integrand diverges, is refused, and the others
+    # evaluate to their closed form within their error figure
+    if tuple(lam) not in SMALL_MARGIN_LOGS:
+        with pytest.raises(DomainError, match="^the least margin 0 of lambda - \\(n-1\\)\\*1 "
+                                              "is too small for panels 1 wide$"):
+            twisted._log_estimate(rows, ExponentVector(lam))
+        return
+    logs, errors, _ = twisted._log_estimate(rows, ExponentVector(lam))
+    for got, err in zip(logs, errors):
+        assert abs(got - SMALL_MARGIN_LOGS[tuple(lam)]) <= err
+
+
+def test_lambda_too_steep_for_the_grid_is_refused_by_name():
+    # r s at s = S passes the double range where an entry of lambda - (n-1)
+    # is about 1e307 in size; at 1e306, L = 1e-306 / sqrt(2) to O(1e-306)
+    msg = "lambda - (n-1)*1 is too steep: panels 1e-307 wide up to S = 18 pass the double range"
+    with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+        evaluate([1.0], ev(-(10**307)))
+    est = evaluate([1.0], ev(-(10**306)))
+    assert abs(est.value - 1e-306 / math.sqrt(2)) <= est.abs_error
 
 
 @pytest.mark.parametrize("lam,n", [
@@ -1007,14 +1053,14 @@ def test_node_log_hypot_is_finite_without_warnings():
     # and may not warn (warnings are errors in this suite).  At p = 1,
     # lambda = -2, L = (sqrt(a^2 + 1) - 1) / a^2 in closed form
     rows = [[0.0], [40.0], [800.0], [1e12]]
-    logs, errors, _, _ = twisted._log_estimate(rows, ev(-2))
+    logs, errors, _ = twisted._log_estimate(rows, ev(-2))
     for (k,), got, err in zip(rows, logs, errors):
         ref = -k + math.log(math.hypot(1.0, math.exp(-k)) - math.exp(-k))
         assert abs(got - ref) <= err
     for lam in [ev(F(-1, 2), -2), ev(F(-1, 2), -2, -2)]:
         # at p = 3 every inner level's update meets F = 0 at s = 0 and
         # differences of log F past the exp range
-        logs, errors, _, _ = twisted._log_estimate(rows, lam)
+        logs, errors, _ = twisted._log_estimate(rows, lam)
         assert all(map(math.isfinite, logs + errors))
 
 
@@ -1104,7 +1150,7 @@ def test_a_log_a_at_a_normal_double_stays_a_knot(knot):
     # well as toward 0, on more nodes
     lam = ev(-2)
     got, zero = twisted._log_estimate([[knot]], lam), twisted._log_estimate([[0.0]], lam)
-    assert got[3][0] > zero[3][0] and not any(map(math.isnan, got[0] + got[1]))
+    assert got[2][0] > zero[2][0] and not any(map(math.isnan, got[0] + got[1]))
 
 
 @pytest.mark.parametrize("x", [

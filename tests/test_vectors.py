@@ -172,9 +172,8 @@ def test_records_are_named_tuples():
          "initial_lambda=ExponentVector(['-1']))"),
         (induction.AVPrediction(Partition([2])), "partition conjectural",
          {"conjectural": True}, "AVPrediction(partition=Partition(parts=(2,)), conjectural=True)"),
-        (twisted.IntegralEstimate(0.5, 1e-16, 18.0, 240),
-         "value abs_error truncation_T node_count", {},
-         "IntegralEstimate(value=0.5, abs_error=1e-16, truncation_T=18.0, node_count=240)"),
+        (twisted.IntegralEstimate(0.5, 1e-16, 240), "value abs_error node_count", {},
+         "IntegralEstimate(value=0.5, abs_error=1e-16, node_count=240)"),
         (twisted.RaySpec([1.0], [1.0, 2.0, 3.0]), "direction t_values", {},
          "RaySpec(direction=(1.0,), t_values=(1.0, 2.0, 3.0))"),
         (twisted.RayCheck((1.0,), 1.0, 0.0, True),
