@@ -367,6 +367,27 @@ def test_lpn_pinned_denominator_2_64_plus_1():
         assert_matches_transcription(lam, n)
 
 
+@pytest.mark.parametrize("p,n", [(128, 128), (16, 128), (128, 16)])
+def test_lpn_builds_at_most_2_p_plus_n_fractions(monkeypatch, p, n):
+    # a work counter for the exact core: every index of the half-integer
+    # staircase is a breakpoint, the most blocks there can be, and `lpn`
+    # builds each public field once as Fraction(v, D): one budget and one
+    # total per block, mu and the output n each.  Counted by a stand-in for
+    # Fraction.__new__ installed for that one call (measured: 512 at
+    # (128, 128), 288 at (16, 128) and (128, 16))
+    lam, count, new = ev(*[-F(2 * i - 1, 2) for i in range(1, p + 1)]), [0], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    result = lpn(lam, p, n)
+    monkeypatch.undo()
+    assert len(result.witness.block_structure.indices) == p
+    assert 0 < count[0] <= 2 * (p + n)
+
+
 # small denominators, so that the oracle meets ties and exact equalities
 small_cap_strategy = st.integers(1, 40).flatmap(
     lambda k: st.sampled_from([F(k, 3), F(k, 5), F(k, 7)])

@@ -294,8 +294,10 @@ def test_error_figure_within_tolerance(a, lam):
     assert est.abs_error <= 1e-12 * est.value
 
 
-# L_1 = int_1^inf b^lambda (a^2 + b^2)^{-n/2} db at a = e^{log a}, by mpmath
-# at 40 digits, as float.hex, keyed by (n, log a, lambda)
+# L_1 = int_1^inf b^lambda (a^2 + b^2)^{-n/2} db at a = e^{log a}, as
+# float.hex, keyed by (n, log a, lambda).  Printed by `python
+# tools/references.py --table EQUAL_LAMBDA_L1`: tanh-sinh quadrature in
+# mpmath at 40 digits, split at a where a > 1
 EQUAL_LAMBDA_L1 = {
     (1, 0, -1): "0x1.c34366179d427p-1", (1, 0, -2): "0x1.a827999fcef32p-2",
     (1, 3, -1): "0x1.78a181190782cp-3", (1, 3, -2): "0x1.840e0dec249eap-5",
@@ -871,13 +873,12 @@ def test_near_divergent_lambda_evaluates(a, k):
 
 # L at a = (a, ..., a) and near-divergent lambda - (n - 1) = (-10^-k, -1/2)
 # (p = 2) and (-10^-k, -1/4, -1/2) (p = 3), k = 1..6, as float.hex, keyed by
-# (p, n, a).  By mpmath at 50 digits, in s = log b: the inner F_2 by Gauss
-# collocation of order 40 on panels 0.5 wide up to s = 400, with the knot
-# log a as an edge; the outer level split as L = F_2(inf) (1 / 10^-k +
-# int e^{r_1 s} (h - 1)) - int g_1 (F_2(inf) - F_2), h = (1 + a^2 e^{-2s})^{-n/2},
-# so no integrand decays like e^{-10^-k s}.  The same scheme gives L_1^p / p!
-# at equal lambda to 1e-47, and five rows agree to 1e-34 at 60 digits, order
-# 50 and panels 0.4 wide up to 500
+# (p, n, a).  Printed by `python tools/references.py --table NEAR_DIVERGENT`:
+# mpmath at 40 digits, the inner levels by Gauss collocation of order 30 on
+# panels 0.5 wide up to s = 400, the 1/margin part split off.  (2, 2, 20) at
+# k = 1, 2, 5, 6, (3, 1, 20) at k = 2, 5 and (3, 2, 20) at k = 1, 2 round to
+# the same double by nested tanh-sinh quadrature at 30 digits, with
+# int_s^inf g_1 in closed form as a 2F1
 NEAR_DIVERGENT = {
     (2, 1, 1): ["0x1.e6ab46334d221p+3", "0x1.6af796cfee78fp+7", "0x1.ce851e3e88049p+10",
                 "0x1.21a2fab8d977cp+14", "0x1.6a1dbb87b894dp+17", "0x1.c4a76acb128f0p+20"],
@@ -885,15 +886,15 @@ NEAR_DIVERGENT = {
                  "0x1.c78f1d8893783p+12", "0x1.1cd442081e974p+16", "0x1.640cacb3cfc1fp+19"],
     (2, 2, 1): ["0x1.c0e741a828281p+3", "0x1.52fb0509ab24ep+7", "0x1.b07e1f5dc6c6bp+10",
                 "0x1.0edde8a696f70p+14", "0x1.52a74e9de7c21p+17", "0x1.a7535fdc802f7p+20"],
-    (2, 2, 20): ["0x1.8e2b5f9bd898dp+1", "0x1.7976b8a17b8dbp+5", "0x1.ecae7e35604a9p+8",
-                 "0x1.354419cfbec46p+12", "0x1.82c0206f1c57bp+15", "0x1.e37588f31c749p+18"],
+    (2, 2, 20): ["0x1.8e2b5f9bd898cp+1", "0x1.7976b8a17b8dap+5", "0x1.ecae7e35604a9p+8",
+                 "0x1.354419cfbec46p+12", "0x1.82c0206f1c57ap+15", "0x1.e37588f31c748p+18"],
     (3, 1, 1): ["0x1.d7fcb712d807fp+4", "0x1.c27dd2c603258p+8", "0x1.27913f5870b7ap+12",
                 "0x1.73494c6397f0dp+15", "0x1.d05657cfeb199p+18", "0x1.2239a2cf116d9p+22"],
-    (3, 1, 20): ["0x1.7c69adedbff33p+2", "0x1.afb0442b51209p+6", "0x1.202b26cb9767ep+10",
-                 "0x1.6a9e3f6ae1c14p+13", "0x1.c59338dd19359p+16", "0x1.1b80dabd78ef8p+20"],
+    (3, 1, 20): ["0x1.7c69adedbff33p+2", "0x1.afb0442b51208p+6", "0x1.202b26cb9767ep+10",
+                 "0x1.6a9e3f6ae1c14p+13", "0x1.c59338dd19358p+16", "0x1.1b80dabd78ef8p+20"],
     (3, 2, 1): ["0x1.a4ba84cc31e17p+4", "0x1.9695a10e8e2a8p+8", "0x1.0b174b0bf3fc1p+12",
                 "0x1.4f8e70de467e7p+15", "0x1.a3a873c80ef1cp+18", "0x1.064caf2912e51p+22"],
-    (3, 2, 20): ["0x1.8d4b424344ddfp+1", "0x1.e20a804b3829bp+5", "0x1.43f1cd02130dbp+9",
+    (3, 2, 20): ["0x1.8d4b424344ddep+1", "0x1.e20a804b3829ap+5", "0x1.43f1cd02130dbp+9",
                  "0x1.97e90d0b154d2p+12", "0x1.fe4326d37d909p+15", "0x1.3eeff67549e98p+19"],
 }
 
@@ -916,8 +917,7 @@ def test_near_divergent_lambda_at_p_ge_2_matches_mpmath(p, n, a, k):
 # L at n = 1, lambda = (-10^-k, -2/3, 1/3), k = 2..6, as float.hex, keyed by
 # a: near-divergent, with the inner rate 1/3 > 0, whose F_3 grows and caps
 # the panel widths.  Printed by `python tools/references.py --table
-# POSITIVE_INNER_RATE`: the NEAR_DIVERGENT scheme in mpmath at 40 digits
-# and order 30, which gives NEAR_DIVERGENT's 48 rows to 1 ulp
+# POSITIVE_INNER_RATE`: the NEAR_DIVERGENT scheme
 POSITIVE_INNER_RATE = {
     1: ["0x1.91bd5b4e03b1ap+8", "0x1.05c7a471eecc4p+12", "0x1.489bc690caa89p+15",
         "0x1.9aef272d0d2cdp+18", "0x1.00d83fab9d8e8p+22"],
@@ -1067,7 +1067,7 @@ def test_node_log_hypot_is_finite_without_warnings():
 def _numpys_panel_rule():
     """`twisted._panel_rule`'s arrays built from numpy's leggauss, legvander,
     legint and legval: numpy's rule stays the reference here; the library
-    no longer loads it."""
+    does not load it."""
     from numpy.polynomial import legendre as leg
 
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
@@ -1076,51 +1076,53 @@ def _numpys_panel_rule():
         coef = leg.legvander(x[block], q - 1).T * [[n + 0.5] for n in range(q)]
         coef *= W[block, rule]
         C[block, block] = leg.legval(x[block], leg.legint(coef, lbnd=-1)).T
-    return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1, 2, 3], [10, 20, 10, 20])
+    return 1.0 + x, W, np.hstack((C.T, W)), np.repeat([0, 1], [10, 20])
 
 
-def _divide_last_legval(x, c):
-    """`twisted._legval` with each ratio applied last, (c1 (nd - 1)) / nd and
-    (c1 x (2 nd - 1)) / nd, as numpy 1.x's `legval` rounds."""
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - (c1 * (nd - 1)) / nd, c0 + (c1 * x * (2 * nd - 1)) / nd
-    return c0 + c1 * x
+def test_panel_rule_is_pinned_bit_for_bit():
+    # the rule is built in +, -, *, / on numpy arrays alone, so its bytes are
+    # the same on every CPU, SIMD dispatch and numpy >= 1.24: the nodes, W
+    # and [C^T W] hashed with their dtypes and shapes, and each node's rule
+    x1, W, CW, rule = twisted._panel_rule()
+    digest = hashlib.sha256()
+    for a in (x1, W, CW):
+        digest.update(repr((a.dtype.str, a.shape)).encode())
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == "12f643a87ed8188c5b2727e7a4949738788cf3687e984ff6e79b27418c4138fb"
+    assert rule.tolist() == [0] * 10 + [1] * 20
 
 
-def test_panel_rule_is_numpys_legendre_rule_bit_for_bit():
-    # unless numpy's legval rounds in numpy 1.x's order, where the next test
-    # bounds the difference, every array equals numpy's, sign bits included
-    # (numpy 2.4's legval multiplies by the ratio (nd - 1) / nd, as `_legval`)
-    from numpy.polynomial import legendre as leg
-
-    probe, c = np.linspace(-1.0, 1.0, 101), [0.0] * 20 + [1.0]
-    if leg.legval(probe, c).tobytes() == _divide_last_legval(probe, c).tobytes():
-        pytest.skip("numpy's legval rounds in numpy 1.x's order: "
-                    "test_panel_rule_lies_within_1e_13_of_numpys_in_either_order bounds the rule")
+def test_panel_rule_lies_within_1e_14_of_numpys():
+    # numpy's leggauss rule lies within 1e-14 of the in-house one entry by
+    # entry, with the same sign bits (measured: 1.5e-15)
     got, ref = twisted._panel_rule(), _numpys_panel_rule()
     assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for a, b in zip(got[:3], ref[:3]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.abs(a - b).max() <= 1e-14
+    assert np.array_equal(got[3], ref[3])
 
 
-def test_panel_rule_lies_within_1e_13_of_numpys_in_either_order(monkeypatch):
-    # the in-house rule is the fixed reference: numpy's rule, whichever order
-    # its legval rounds in, and the rule built with numpy 1.x's order lie
-    # within 1e-13 of it entry by entry, with the same sign bits (measured:
-    # 2.6e-15 apart, in 505 entries of C, 26 of W and 3 of the nodes)
-    got = twisted._panel_rule()
-    probe, c = np.linspace(-1.0, 1.0, 101), [0.0] * 20 + [1.0]
-    assert _divide_last_legval(probe, c).tobytes() != twisted._legval(probe, c).tobytes()
-    monkeypatch.setattr(twisted, "_legval", _divide_last_legval)
-    divide_last = twisted._panel_rule.__wrapped__()
-    assert any(a.tobytes() != b.tobytes() for a, b in zip(got, divide_last))
-    for ref in (_numpys_panel_rule(), divide_last):
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert np.array_equal(np.signbit(a), np.signbit(b))
-            assert np.abs(a - b).max() <= 1e-13
+def test_panel_rule_is_exact_on_polynomials():
+    # in exact rational arithmetic on the rule's doubles, the q-point W
+    # column integrates x^m over [-1, 1] for m < 2q, and each row of C gives
+    # int_{-1}^{x_j} x^m for m < q, both within 4 eps (measured: 1.6 and 1.8
+    # eps; numpy's leggauss rule reads 15 and 12).  The nodes are taken as
+    # (1 + x) - 1, which moves each by at most eps / 2; W is symmetric
+    x1, W, CW, _ = twisted._panel_rule()
+    eps = F(1, 2**52)
+    for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
+        x, w = [F(v) - 1 for v in x1[block]], [F(v) for v in W[block, rule]]
+        assert W[block, rule].tobytes() == W[block, rule][::-1].tobytes()
+        for m in range(2 * q):
+            exact = F(1 + (-1) ** m, m + 1)
+            assert abs(sum(wk * xk**m for wk, xk in zip(w, x)) - exact) <= 4 * eps
+        for j, row in enumerate(CW[block, block].T):
+            C = [F(v) for v in row]
+            for m in range(q):
+                exact = (x[j] ** (m + 1) - (-1) ** (m + 1)) / (m + 1)
+                assert abs(sum(c * xk**m for c, xk in zip(C, x)) - exact) <= 4 * eps
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -1,9 +1,14 @@
 """Reference values of the twisted integral L(a, lambda) in mpmath.
 
 Independent of the package: it imports neither quantind nor numpy, and no
-test imports it.  One scheme, for p >= 2, a = (a, ..., a) and the rates
-r = lambda - (n - 1) with a near-divergent first entry r_1 = -10^-k.  In
-s = log b,
+test imports it.  EQUAL_LAMBDA_L1 holds the one-variable factor
+
+    L_1 = int_1^inf b^lambda (a^2 + b^2)^{-n/2} db,
+
+keyed by (n, log a, lambda), by tanh-sinh quadrature split at a where
+a > 1.  The other tables share one scheme, for p >= 2, a = (a, ..., a)
+and the rates r = lambda - (n - 1) with a near-divergent first entry
+r_1 = -10^-k.  In s = log b,
 
     g_i(s) = e^{r_i s} h(s),   h(s) = (1 + a^2 e^{-2s})^{-n/2},
     F_p(s) = int_0^s g_p,      F_i(s) = int_0^s g_i F_{i+1},
@@ -20,11 +25,12 @@ Past S_MAX = 400 every inner integrand here falls at least like e^{-s/4},
 which leaves out less than e^{-100} of F_2.
 
 Usage:
+    python tools/references.py --table EQUAL_LAMBDA_L1
     python tools/references.py --table POSITIVE_INNER_RATE
     python tools/references.py --table NEAR_DIVERGENT
 
 prints the table in the layout of tests/test_twisted.py (each value as
-float.hex), with the seconds each row took on stderr.
+float.hex); the two tables of L print the seconds each row took on stderr.
 """
 
 import argparse
@@ -97,6 +103,22 @@ def reference(rates, n, a, rule):
     return F2_inf * (1 / -r1 + split) - rest
 
 
+def equal_lambda_l1():
+    """The EQUAL_LAMBDA_L1 table, two entries a line."""
+    entries = []
+    for n in (1, 3):
+        for log_a in (0, 3):
+            a = mp.exp(log_a)
+            for lam in (-1, -2):
+                value = mp.quad(lambda b: b**lam * (a * a + b * b) ** (-mp.mpf(n) / 2),
+                                [1, a, mp.inf] if a > 1 else [1, mp.inf])
+                entries.append(f'{(n, log_a, lam)}: "{float(value).hex()}"')
+    print("EQUAL_LAMBDA_L1 = {")
+    for i in range(0, len(entries), 2):
+        print("    " + ", ".join(entries[i:i + 2]) + ",")
+    print("}")
+
+
 def rows(table):
     """(key, rates per k in KS[table], n, a) for each key of a table."""
     if table == "POSITIVE_INNER_RATE":  # lambda = (-10^-k, -2/3, 1/3) at n = 1
@@ -113,8 +135,10 @@ def rows(table):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--table", choices=sorted(KS), required=True)
+    parser.add_argument("--table", choices=sorted(KS) + ["EQUAL_LAMBDA_L1"], required=True)
     args = parser.parse_args(argv)
+    if args.table == "EQUAL_LAMBDA_L1":
+        return equal_lambda_l1()
     rule, start = legendre_rule(Q), time.time()
     print(f"{args.table} = {{")
     for key, rate_rows, n, a in rows(args.table):
