@@ -325,7 +325,10 @@ def _panel_rule():
     x, W, C = np.zeros(30), np.zeros((30, 2)), np.zeros((30, 30))
     for rule, (q, block) in enumerate([(10, slice(0, 10)), (20, slice(10, 30))]):
         grid = np.arange(-2 * q * q, 2 * q * q + 1) / (2 * q * q)
-        sign = np.signbit(legendre(grid, q)[q])
+        p0, p1 = np.ones_like(grid), grid  # only P_q's sign is read on the grid
+        for n in range(1, q):
+            p0, p1 = p1, ((2 * n + 1) * grid * p1 - n * p0) / (n + 1)
+        sign = np.signbit(p1)
         k = np.flatnonzero(sign[1:] != sign[:-1])
         r = (grid[k] + grid[k + 1]) / 2
         for step in range(6):  # five Newton steps, then P and P_q' at the nodes

@@ -6,15 +6,14 @@ because the partial-sum orders and the transfer algorithm hinge on exact
 ties.  The shift lambda - c*1 + k*rho(g) is computed once, by `_shifted`,
 as ints over one common denominator D.  The range tests (`_in_range`,
 behind the five predicates of `induction`) compare its prefix sums with 0
-on those ints and build no Fraction; `rho_shift` builds its entries from
-them as Fraction(v, D), for the transfer bounds.
+on those ints; `rho_shift` builds its entries from them as Fraction(v, D),
+for the transfer bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import sys
 from collections import namedtuple
@@ -226,20 +225,16 @@ def _shifted(
     lam: ExponentVector, g: GroupDescriptor, c: RationalLike, k: int
 ) -> tuple[int, list[int]]:
     """(D, D*(lam - c*1 + k*rho(g))) on ints, D the lcm of 2 and every
-    denominator: the one place the shift is computed.  Errors come in this
-    order: lam's length, c, rho(g), then the entries."""
+    denominator: the one place the shift is computed.  lam is an
+    ExponentVector, or a list or tuple of what ExponentVector accepts.
+    Errors come in this order: lam's length, c, rho(g), then the entries."""
     if len(lam) != g.rank:
         name = "p" if isinstance(g, Orthogonal) else "n"
         raise DomainError(f"lambda must have length {name}={g.rank}")
     c = as_fraction(c)
     two_rho = _two_rho(g)
     if not isinstance(lam, ExponentVector):
-        # a list or tuple: rational entries (bools too) as they are; any
-        # other goes through x - c + k*rho_i and fails there or by its value
-        lam = ExponentVector(
-            Fraction(x) if isinstance(x, numbers.Rational) else x - c + k * Fraction(r, 2)
-            for x, r in zip(lam, two_rho)
-        )
+        lam = ExponentVector(lam)
     D0, xs = lam.scaled()
     D = math.lcm(D0, 2, c.denominator)
     m, h, cD = D // D0, k * (D // 2), c.numerator * (D // c.denominator)
@@ -258,7 +253,8 @@ def _in_range(
 ) -> bool:
     """lam - c*1 + k*rho(g) < 0 (strict) or <= 0 in the prefix-sum order: the
     verdict and errors of strictly_ or weakly_dominated(rho_shift(...)), but
-    decided on `_shifted`'s ints, D*(lam - c*1 + k*rho(g)), with no Fraction."""
+    decided on `_shifted`'s ints, D*(lam - c*1 + k*rho(g)): no Fraction is
+    built but c and the entries of a list or tuple lam."""
     sums = itertools.accumulate(_shifted(lam, g, c, k)[1])
     return all(s < 0 for s in sums) if strict else all(s <= 0 for s in sums)
 
@@ -368,5 +364,5 @@ class InfChar:
         return f"InfChar({list(map(str, self.values))})"
 
 
-def _fmt_vec(entries) -> str:
-    return "(" + ",".join(str(Fraction(e)) for e in entries) + ")"
+def _fmt_vec(entries: Iterable[Fraction]) -> str:
+    return "(" + ",".join(map(str, entries)) + ")"

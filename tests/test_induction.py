@@ -175,8 +175,10 @@ RANGE_ROWS = [
 @pytest.mark.parametrize("pred,lam,p,q,n,want", RANGE_ROWS)
 def test_range_predicates_pinned_rows(pred, lam, p, q, n, want):
     assert reference_verdict(pred, ExponentVector(lam), p, q, n) is want
-    # an ExponentVector, or a list or tuple of its entries as ints or Fractions
-    for form in (ExponentVector(lam), list(lam), tuple(lam), [F(x) for x in lam]):
+    # an ExponentVector, or a list or tuple of its entries as ints, Fractions
+    # or "a/b" strings: a list is read as its ExponentVector
+    for form in (ExponentVector(lam), list(lam), tuple(lam), [F(x) for x in lam],
+                 [str(x) for x in lam]):
         assert pred(form, p=p, q=q, n=n) is want
         args = (form, n, p, q) if pred in SP_FIRST else (form, p, q, n)
         assert pred(*args) is want
@@ -188,14 +190,14 @@ def test_range_predicates_pinned_rows(pred, lam, p, q, n, want):
     (lambda: in_ss_Sp_to_O((F(1, 2),), 2, 3, 3), DomainError, "lambda must have length n=2"),
     (lambda: in_semistable_O_to_Sp([-1], 0, 3, 3), DomainError, "lambda must have length p=0"),
     (lambda: in_semistable_O_to_Sp([], 0, 3, 3), DomainError, r"rho\(O\(p,q\)\) needs p >= 1"),
-    # then c, then the entries; a float entry fails with the value rho_shift
-    # computed for it: 0.5 - 1/2 + 1/2
+    # then c, then the entries; a float or bool entry is refused as it was
+    # given, as ExponentVector refuses it
     (lambda: in_semistable_O_to_Sp([0.5], 1, 2, 2.5), DomainError,
      "exact rational required, got 2.5"),
     (lambda: in_ss_O_to_Sp([-1, 0.5], 2, 3, 3), DomainError,
      "exact rational required, got 0.5$"),
-    (lambda: in_ss_O_to_Sp(["-1", 0], 2, 3, 3), TypeError,
-     "unsupported operand"),
+    (lambda: in_ss_O_to_Sp([True, 0], 2, 3, 3), DomainError,
+     "exact rational required, got True$"),
     # the groups are checked first, in each predicate's order
     (lambda: in_ss_O_to_Sp([0.5], 3, 2, 3), DomainError, "requires p <= q"),
     (lambda: in_ss_Sp_to_O([0.5], 0, 2, 3), DomainError, "requires n >= 1"),

@@ -224,7 +224,7 @@ O_TO_SP_ERRORS = [
     ((0, 3, True, [F(1, 2)]), "need p >= 1"),
     ((2, 3, True, [F(1, 2)]), "lambda must have length p=2"),
     ((2, 3, True, [-9, 0.5]), "exact rational required, got True"),
-    ((2, 3, F(3, 2), [-9, 0.5]), "exact rational required, got 0.0"),
+    ((2, 3, F(3, 2), [-9, 0.5]), "exact rational required, got 0.5"),
     ((2, 3, F(3, 2), [F(-5, 2), F(3, 2)]), "not in semistable range for this transfer"),
     ((2, 3, F(3, 2), [-9, -9]), "size must be an integer, got Fraction(3, 2)"),
     ((2, 3, 0, [-9, -9]), "n must be >= 1"),
@@ -236,7 +236,7 @@ SP_TO_O_ERRORS = [
     ((0, 0, 3, [0.5]), "Sp(2n) requires n >= 1"),
     ((2, 0, 3, [0.5]), "need p >= 1"),
     ((2, 3, 4, [0.5]), "lambda must have length n=2"),
-    ((2, 3, 4, [-9, 0.5]), "exact rational required, got -1.0"),
+    ((2, 3, 4, [-9, 0.5]), "exact rational required, got 0.5"),
     ((2, 3, 4, [-1, 2]), "not in semistable range for this transfer"),
 ]
 

@@ -13,6 +13,7 @@ from quantind import (
     Symplectic,
     constant_vector,
     cover_info,
+    in_ss_O_to_Sp,
     rho,
     strictly_dominated,
     transpose,
@@ -92,6 +93,31 @@ def test_rho_matches_the_closed_forms():
     assert _fmt_vec(rho(Symplectic(3))) == "(3,2,1)"
     with pytest.raises(DomainError, match=r"rho\(O\(p,q\)\) needs p >= 1"):
         rho(Orthogonal(0, 3))
+
+
+def test_range_predicate_and_fmt_vec_build_pinned_fraction_counts(monkeypatch):
+    # work counters for the exact core, counted by a stand-in for
+    # Fraction.__new__ installed for one call each: a range predicate builds
+    # its c, and a list lam each entry once more; _fmt_vec prints the entries
+    # as they are (measured: 1, k + 1 and 0)
+    count, new = [0], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def built(call, *args):
+        count[0] = 0
+        monkeypatch.setattr(F, "__new__", counting)
+        call(*args)
+        monkeypatch.undo()
+        return count[0]
+
+    for k in (1, 2, 5):
+        lam = [-1] * k
+        assert built(in_ss_O_to_Sp, ExponentVector(lam), k, k + 1, k) == 1
+        assert built(in_ss_O_to_Sp, lam, k, k + 1, k) == k + 1
+    assert built(_fmt_vec, ExponentVector([F(1, 2), -3, F(-7, 6), 0])) == 0
 
 
 @given(st.integers(1, 10), st.integers(0, 10))
